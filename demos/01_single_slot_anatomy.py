@@ -18,11 +18,11 @@ print(f"action dim {env.action_dim} (beamformer {env._beam_len} reals "
 
 rng = np.random.default_rng(0)
 raw = rng.uniform(-1, 1, env.action_dim)
-design, surface, phi_a, phi_b = env.decode_action(raw)
+design, [(_, phi_a, phi_b)] = env.decode_action(raw)
 
 power = np.trace(design.K @ design.K.conj().T).real
 print(f"\ntransmit power {power:.4f} W of budget {env.p_max:.4f} W")
-amp = np.abs(np.diag(phi_a)) ** 2 + np.abs(np.diag(phi_b)) ** 2
+amp = np.abs(phi_a) ** 2 + np.abs(phi_b) ** 2
 print(f"per-element |A|^2 + |B|^2 range: "
       f"[{amp.min():.15f}, {amp.max():.15f}]  (energy splitting)")
 

@@ -8,7 +8,7 @@ whole-surface modes and trades time fractions.
 import numpy as np
 
 from star_isac.star_ris import (StarRisEsConfig, StarRisTsConfig,
-                                es_matrices, ts_matrices)
+                                es_coefficients, ts_coefficients)
 
 print("ES protocol: amplitude split along theta (one element)")
 print(f"{'theta':>8} {'|A|^2':>8} {'|B|^2':>8} {'sum':>6} {'cos(dphi)':>10}")
@@ -23,14 +23,14 @@ print("\nTS protocol: unit-modulus faces, time split pi_1 / pi_2")
 for pi_1 in (0.0, 0.25, 0.5, 1.0):
     cfg = StarRisTsConfig(pi_1=pi_1, phi_a=np.array([0.3, 1.1]),
                           phi_b=np.array([2.0, 0.4]))
-    phi_a, phi_b = ts_matrices(cfg)
-    mods = np.abs(np.diag(phi_a))
+    phi_a, phi_b = ts_coefficients(cfg)
+    mods = np.abs(phi_a)
     print(f"  pi_1={cfg.pi_1:.2f}  pi_2={cfg.pi_2:.2f}  "
           f"|Phi_A| elements = {np.round(mods, 12)}")
 
 print("\nES full-transmission corner (theta = pi/2): reflection face dark")
 cfg = StarRisEsConfig(theta=np.full(3, np.pi / 2), phi_b=np.zeros(3),
                       sign=np.ones(3))
-phi_a, phi_b = es_matrices(cfg)
-print(f"  |Phi_A| diag = {np.abs(np.diag(phi_a))}")
-print(f"  |Phi_B| diag = {np.abs(np.diag(phi_b))}")
+phi_a, phi_b = es_coefficients(cfg)
+print(f"  |Phi_A| diag = {np.abs(phi_a)}")
+print(f"  |Phi_B| diag = {np.abs(phi_b)}")

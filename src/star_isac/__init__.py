@@ -7,11 +7,12 @@ from .channel import (ChannelRealization, FadingParams, SystemGeometry,
 from .env import SecureIsacEnv
 from .experiments import ScenarioConfig, run_scenario, sweep, measure_runtime
 from .physics import (SensingParams, StepOutcome, TransmitDesign,
-                      echo_snr_lower_bound, optimal_filter, project_power,
-                      reward, secrecy_rate_es, secrecy_rate_ts)
-from .star_ris import (StarRisEsConfig, StarRisTsConfig, es_matrices,
+                      echo_snr_lower_bound, effective_channels, evaluate,
+                      optimal_filter, project_power, reward, secrecy_rate,
+                      sinrs)
+from .star_ris import (StarRisEsConfig, StarRisTsConfig, es_coefficients,
                        project_raw_action_es, project_raw_action_ts,
-                       ts_matrices)
+                       ts_coefficients, ts_periods)
 
 __all__ = [
     "ChannelRealization", "FadingParams", "SystemGeometry",
@@ -20,10 +21,11 @@ __all__ = [
     "SecureIsacEnv",
     "ScenarioConfig", "run_scenario", "sweep", "measure_runtime",
     "SensingParams", "StepOutcome", "TransmitDesign",
-    "echo_snr_lower_bound", "optimal_filter", "project_power", "reward",
-    "secrecy_rate_es", "secrecy_rate_ts",
-    "StarRisEsConfig", "StarRisTsConfig", "es_matrices",
-    "project_raw_action_es", "project_raw_action_ts", "ts_matrices",
+    "echo_snr_lower_bound", "effective_channels", "evaluate",
+    "optimal_filter", "project_power", "reward", "secrecy_rate", "sinrs",
+    "StarRisEsConfig", "StarRisTsConfig", "es_coefficients",
+    "project_raw_action_es", "project_raw_action_ts", "ts_coefficients",
+    "ts_periods",
 ]
 
 __version__ = "0.1.0"

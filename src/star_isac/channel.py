@@ -6,7 +6,7 @@ the draws of another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,27 +98,34 @@ class FadingParams:
 
 @dataclass
 class ChannelRealization:
-    """All complex channel coefficients for one timeslot.
+    """All complex channel coefficients for one timeslot, each link
+    stored once as unit-power fading times its path-loss amplitude.
 
-    The *_norm attributes hold the unit-power fading (path loss divided
-    out); they feed the observation vector so feature scales stay O(1).
+    Receivers are stacked in the order users, Eve, sensing target: row k
+    of D_fading is receiver k's direct BS link and row k of R_fading its
+    RIS-side link. The fading feeds the observation vector so feature
+    scales stay O(1); the properties D, R and H are the scaled links.
     """
 
     slot: int
-    H: np.ndarray                 # N x L, BS -> RIS
-    h_bm: list                    # per LU, length-L direct links
-    h_rm: list                    # per LU, length-N RIS-side links
-    h_be: np.ndarray
-    h_re: np.ndarray
-    g_bs: np.ndarray
-    g_rs: np.ndarray
-    H_norm: np.ndarray = None
-    h_bm_norm: list = field(default_factory=list)
-    h_rm_norm: list = field(default_factory=list)
-    h_be_norm: np.ndarray = None
-    h_re_norm: np.ndarray = None
-    g_bs_norm: np.ndarray = None
-    g_rs_norm: np.ndarray = None
+    H_fading: np.ndarray          # N x L, BS -> RIS
+    D_fading: np.ndarray          # (M+2) x L, BS -> receiver
+    R_fading: np.ndarray          # (M+2) x N, RIS -> receiver
+    H_amp: float = 1.0
+    D_amp: np.ndarray = 1.0       # (M+2) x 1 column, or a scalar
+    R_amp: np.ndarray = 1.0
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.H_amp * self.H_fading
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.D_amp * self.D_fading
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.R_amp * self.R_fading
 
 
 def path_loss_los(d: float, f1: float) -> float:
@@ -241,36 +248,26 @@ def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
     streams = {name: np.random.default_rng(child)
                for name, child in zip(_LINK_ORDER, ss.spawn(len(_LINK_ORDER)))}
 
-    amp = {k: (np.array([loss_db_to_amplitude(x) for x in v])
-               if isinstance(v, list) else loss_db_to_amplitude(v))
-           for k, v in losses.items()}
+    def column(*losses_db):
+        return np.array([[loss_db_to_amplitude(x)] for x in losses_db])
+
+    H_amp = loss_db_to_amplitude(losses["bs_ris"])
+    D_amp = column(*losses["bs_lu"], losses["bs_eve"], losses["bs_st"])
+    R_amp = column(*losses["ris_lu"], losses["ris_eve"], losses["ris_st"])
 
     out = []
     for t in range(T):
-        H_norm = rician_channel(
+        H = rician_channel(
             params, 0.0, N, L, beta_b, beta_r, zeta_r, streams["bs_ris"])
-        h_bm_n = [_cn_samples(L, streams["bs_lu"]) for _ in range(M)]
-        h_rm_n = [_cn_samples(N, streams["ris_lu"]) for _ in range(M)]
-        h_be_n = _cn_samples(L, streams["bs_eve"])
-        h_re_n = _cn_samples(N, streams["ris_eve"])
-        g_bs_n = _cn_samples(L, streams["bs_st"])
-        g_rs_n = _cn_samples(N, streams["ris_st"])
-        ch = ChannelRealization(
-            slot=t,
-            H=amp["bs_ris"] * H_norm,
-            h_bm=[amp["bs_lu"][m] * h_bm_n[m] for m in range(M)],
-            h_rm=[amp["ris_lu"][m] * h_rm_n[m] for m in range(M)],
-            h_be=amp["bs_eve"] * h_be_n,
-            h_re=amp["ris_eve"] * h_re_n,
-            g_bs=amp["bs_st"] * g_bs_n,
-            g_rs=amp["ris_st"] * g_rs_n,
-            H_norm=H_norm,
-            h_bm_norm=h_bm_n,
-            h_rm_norm=h_rm_n,
-            h_be_norm=h_be_n,
-            h_re_norm=h_re_n,
-            g_bs_norm=g_bs_n,
-            g_rs_norm=g_rs_n,
-        )
-        out.append(ch)
+        d_lu = [_cn_samples(L, streams["bs_lu"]) for _ in range(M)]
+        r_lu = [_cn_samples(N, streams["ris_lu"]) for _ in range(M)]
+        d_eve = _cn_samples(L, streams["bs_eve"])
+        r_eve = _cn_samples(N, streams["ris_eve"])
+        d_st = _cn_samples(L, streams["bs_st"])
+        r_st = _cn_samples(N, streams["ris_st"])
+        out.append(ChannelRealization(
+            slot=t, H_fading=H,
+            D_fading=np.array([*d_lu, d_eve, d_st]),
+            R_fading=np.array([*r_lu, r_eve, r_st]),
+            H_amp=H_amp, D_amp=D_amp, R_amp=R_amp))
     return out

@@ -24,11 +24,11 @@ class EnvError(RuntimeError):
 
 
 def state_features(ch: ChannelRealization) -> np.ndarray:
-    """Flattened real/imag parts of the path-loss-normalized channels."""
-    parts = [ch.H_norm.ravel()]
-    parts += list(ch.h_bm_norm) + list(ch.h_rm_norm)
-    parts += [ch.h_be_norm, ch.h_re_norm, ch.g_bs_norm, ch.g_rs_norm]
-    z = np.concatenate(parts)
+    """Flattened real/imag parts of the unit-power fading: H, then the
+    users' direct and RIS-side links, then Eve's and the target's."""
+    D, R = ch.D_fading, ch.R_fading
+    z = np.concatenate([ch.H_fading.ravel(), D[:-2].ravel(), R[:-2].ravel(),
+                        D[-2], R[-2], D[-1], R[-1]])
     return np.concatenate([z.real, z.imag])
 
 
@@ -121,6 +121,8 @@ class SecureIsacEnv:
 
     # ---- action decoding ------------------------------------------------
     def decode_action(self, raw: np.ndarray):
+        """(power-feasible design, surface periods): the surface state is
+        a list of (weight, Phi_A, Phi_B) periods, see ``physics``."""
         raw = np.clip(np.asarray(raw, float), -1.0, 1.0)
         if raw.size != self.action_dim:
             raise EnvError(f"action length {raw.size} != {self.action_dim}")
@@ -131,25 +133,22 @@ class SecureIsacEnv:
         K_raw[:, self.M:] *= self._beam_scale_w
         design = physics.project_power(K_raw, self.M, self.p_max)
         ris_raw = raw[self._beam_len:]
+        if self.variant == "star" and self.mode == "ts":
+            return design, star_ris.ts_periods(
+                star_ris.project_raw_action_ts(ris_raw))
         if self.variant == "star":
-            if self.mode == "es":
-                cfg = star_ris.project_raw_action_es(ris_raw)
-                phi_a, phi_b = star_ris.es_matrices(cfg)
-            else:
-                cfg = star_ris.project_raw_action_ts(ris_raw)
-                phi_a, phi_b = None, None
+            phi_a, phi_b = star_ris.es_coefficients(
+                star_ris.project_raw_action_es(ris_raw))
         elif self.variant == "spliced":
             half = self.N // 2
             phases = ris_raw * np.pi
             amp_a = np.concatenate([np.ones(half), np.zeros(self.N - half)])
-            phi_a = np.diag(amp_a * np.exp(1j * phases))
-            phi_b = np.diag((1.0 - amp_a) * np.exp(1j * phases))
-            cfg = None
+            phi_a = amp_a * np.exp(1j * phases)
+            phi_b = (1.0 - amp_a) * np.exp(1j * phases)
         else:  # conventional: reflect-only, no transmission-side cascade
-            phi_a = np.diag(np.exp(1j * ris_raw * np.pi))
-            phi_b = np.zeros((self.N, self.N))
-            cfg = None
-        return design, cfg, phi_a, phi_b
+            phi_a = np.exp(1j * ris_raw * np.pi)
+            phi_b = np.zeros(self.N)
+        return design, [(1.0, phi_a, phi_b)]
 
     # ---- stepping ---------------------------------------------------------
     def step(self, raw_action: np.ndarray) -> StepOutcome:
@@ -157,27 +156,11 @@ class SecureIsacEnv:
             raise EnvError("call reset() before step()")
         if self.t >= self.T:
             raise EnvError("episode finished; call reset()")
-        ch = self.channels[self.t]
-        design, cfg, phi_a, phi_b = self.decode_action(raw_action)
-        s2 = self.noise_power
-
-        if self.mode == "es" or self.variant != "star":
-            lu = np.array([physics.rate(physics.lu_sinr_es(m, ch, phi_b, design, s2))
-                           for m in range(self.M)])
-            eve = np.array([physics.rate(physics.eve_sinr_es(m, ch, phi_b, design, s2))
-                            for m in range(self.M)])
-            st = np.array([physics.rate(physics.st_sinr_es(m, ch, phi_a, design, s2))
-                           for m in range(self.M)])
-            echo, _ = physics.echo_snr_es(ch, phi_a, design, self.sensing)
-        else:
-            rates = [physics.ts_rates(m, ch, cfg, design, s2) for m in range(self.M)]
-            lu = np.array([r[0] for r in rates])
-            eve = np.array([r[1] for r in rates])
-            st = np.array([r[2] for r in rates])
-            echo, _ = physics.echo_snr_ts_optimal(ch, cfg, design, self.sensing)
-
-        sec = np.array([physics.secrecy_rate(lu[m], eve[m], st[m])
-                        for m in range(self.M)])
+        design, periods = self.decode_action(raw_action)
+        lu, eve, st, echo = physics.evaluate(
+            self.channels[self.t], periods, design, self.noise_power,
+            self.sensing)
+        sec = np.array([physics.secrecy_rate(*r) for r in zip(lu, eve, st)])
         sum_sec = float(sec.sum())
         r = physics.reward(echo, lu, sum_sec, self.r_min, self.sensing.kappa_t)
 

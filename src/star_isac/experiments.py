@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -77,16 +79,27 @@ class ScenarioConfig:
     geometry: dict = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
 
     def __post_init__(self):
-        if self.L < 1 or self.N < 1 or self.M < 1:
-            raise ConfigError("L, N, M must be positive")
+        for key, ok, need in _NUMERIC_CHECKS:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigError(f"{key} = {value!r}: {need}")
+        if self.buffer_capacity < 10 * self.batch_size:
+            raise ConfigError("buffer_capacity must hold the 10 batches "
+                              "that updates wait for (10 * batch_size)")
         if self.protocol not in ("es", "ts"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.algorithm not in ("ddpg", "sac"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.baseline not in ("star", "spliced", "conventional"):
             raise ConfigError(f"unknown baseline {self.baseline!r}")
+        if self.baseline != "star" and self.protocol != "es":
+            raise ConfigError(f"baseline {self.baseline!r} is ES-only")
+        if self.baseline == "spliced" and self.N % 2:
+            raise ConfigError("baseline 'spliced' needs an even N")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds = {self.seeds!r}: need integers >= 0")
         if self.N % self.n_x != 0:
             raise ConfigError("n_x must divide N")
         if len(self.geometry["lus"]) != self.M:
@@ -128,6 +141,33 @@ class ScenarioConfig:
             else:
                 out[f.name] = str(v)
         return out
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# (key, test, requirement) for every numeric ScenarioConfig field
+_NUMERIC_CHECKS = (
+    *((k, lambda v: _is_int(v) and v >= 1, "need an integer >= 1")
+      for k in ("L", "N", "M", "T", "episodes", "batch_size",
+                "buffer_capacity", "hidden_units", "n_x", "sensing_slots")),
+    ("hidden_layers", lambda v: _is_int(v) and v >= 0,
+     "need an integer >= 0"),
+    *((k, _is_real, "need a finite number")
+      for k in ("p0_dbm", "noise_dbm", "kappa_db", "rician_db")),
+    *((k, lambda v: _is_real(v) and v > 0, "need a finite number > 0")
+      for k in ("lr", "freq_ghz", "sensing_tau")),
+    ("r0", lambda v: _is_real(v) and v >= 0, "need a finite number >= 0"),
+    ("gamma", lambda v: _is_real(v) and 0 <= v <= 1, "need 0 <= gamma <= 1"),
+    ("soft_rate", lambda v: _is_real(v) and 0 < v <= 1,
+     "need 0 < soft_rate <= 1"),
+)
 
 
 def _fmt_point(p) -> str:

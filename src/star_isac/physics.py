@@ -1,18 +1,27 @@
-"""Physical-layer quantities: SINRs, rates, secrecy rates, echo SNR
-lower bounds, closed-form receive filters, power projection, and the
-constraint-aware reward.
+"""Physical-layer quantities: one kernel for every receiver, surface
+variant and protocol, plus echo SNR lower bounds, closed-form receive
+filters, power projection, and the constraint-aware reward.
+
+Every receiver k sees the effective channel h_k^H = r_k^H diag(phi) H +
+d_k^H, where phi is the surface on its side: Phi_B for the users and
+Eve, Phi_A for the sensing target. ``effective_channels`` stacks all
+M+2 rows at once, and one |h^H K|^2 matrix gives every SINR: user m
+reads entry [m, m], Eve row M and the target row M+1. A surface state is
+a list of (weight, Phi_A, Phi_B) periods with length-N coefficient
+vectors: ES and the single-surface baselines have one period of weight
+1, TS has two (see ``star_ris.ts_periods``). Rates and the echo SNR are
+the weighted sums over periods.
 
 Rates are log2 (bps/Hz). SINR/SNR values and the echo threshold are
 linear; dB conversion happens once at config load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .star_ris import StarRisTsConfig
 
 
 class PhysicsError(ValueError):
@@ -35,11 +44,6 @@ class TransmitDesign:
     @property
     def K(self) -> np.ndarray:
         return np.concatenate([self.K_s, self.K_w], axis=1)
-
-    @property
-    def k_vec(self) -> np.ndarray:
-        """Column-stacked vectorization of K, length L*(M+L)."""
-        return self.K.reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -72,49 +76,34 @@ class StepOutcome:
 
 
 # ---------------------------------------------------------------------------
-# effective channels
+# receiver-stacked kernel
 
-def effective_channel(direct: np.ndarray, ris_side: np.ndarray,
-                      phi: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Row vector h^H = ris_side^H Phi H + direct^H, returned as the
-    conjugated length-L vector h."""
-    return (ris_side.conj() @ phi @ H + direct.conj()).conj()
+def effective_channels(D: np.ndarray, R: np.ndarray, H: np.ndarray,
+                       phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    """Rows h_k^H = r_k^H diag(phi) H + d_k^H of all M+2 receivers, as an
+    (M+2) x L matrix: side-B rows read phi_b, the target row reads phi_a."""
+    phi = np.empty(R.shape, complex)
+    phi[:-1] = phi_b
+    phi[-1] = phi_a
+    return (R.conj() * phi) @ H + D.conj()
 
 
-def _sinr(h: np.ndarray, K_s: np.ndarray, K_w: np.ndarray, m: int,
-          sigma2: float) -> float:
+def sinrs(h_eff: np.ndarray, design: TransmitDesign,
+          sigma2: float) -> np.ndarray:
+    """(M+2) x M matrix: entry [k, m] is the SINR of user m's stream at
+    receiver k, all read off one |h^H K|^2 matrix."""
     if sigma2 <= 0:
         raise PhysicsError("noise variance must be positive")
-    hH = h.conj()
-    sig = np.abs(hH @ K_s[:, m]) ** 2
-    proj_s = np.abs(hH @ K_s) ** 2
-    interference = proj_s.sum() - proj_s[m] + (np.abs(hH @ K_w) ** 2).sum()
-    return float(sig / (interference + sigma2))
+    M = design.K_s.shape[1]
+    power = np.abs(h_eff @ design.K) ** 2
+    streams = power[:, :M]
+    interference = (streams.sum(axis=1, keepdims=True) - streams
+                    + power[:, M:].sum(axis=1, keepdims=True))
+    return streams / (interference + sigma2)
 
 
-def rate(sinr: float) -> float:
-    return float(np.log2(1.0 + sinr))
-
-
-# ---------------------------------------------------------------------------
-# energy-splitting mode
-
-def lu_sinr_es(m: int, ch: ChannelRealization, phi_b: np.ndarray,
-               design: TransmitDesign, sigma2: float) -> float:
-    h = effective_channel(ch.h_bm[m], ch.h_rm[m], phi_b, ch.H)
-    return _sinr(h, design.K_s, design.K_w, m, sigma2)
-
-
-def eve_sinr_es(m: int, ch: ChannelRealization, phi_b: np.ndarray,
-                design: TransmitDesign, sigma2: float) -> float:
-    h = effective_channel(ch.h_be, ch.h_re, phi_b, ch.H)
-    return _sinr(h, design.K_s, design.K_w, m, sigma2)
-
-
-def st_sinr_es(m: int, ch: ChannelRealization, phi_a: np.ndarray,
-               design: TransmitDesign, sigma2: float) -> float:
-    g = effective_channel(ch.g_bs, ch.g_rs, phi_a, ch.H)
-    return _sinr(g, design.K_s, design.K_w, m, sigma2)
+def rate(sinr):
+    return np.log2(1.0 + sinr)
 
 
 def secrecy_rate(r_lu: float, r_eve: float, r_st: float) -> float:
@@ -122,19 +111,8 @@ def secrecy_rate(r_lu: float, r_eve: float, r_st: float) -> float:
     return max(r_lu - r_eve, 0.0) + max(r_lu - r_st, 0.0)
 
 
-def secrecy_rate_es(m: int, ch: ChannelRealization, phi_a: np.ndarray,
-                    phi_b: np.ndarray, design: TransmitDesign,
-                    sigma2: float) -> float:
-    r_lu = rate(lu_sinr_es(m, ch, phi_b, design, sigma2))
-    r_eve = rate(eve_sinr_es(m, ch, phi_b, design, sigma2))
-    r_st = rate(st_sinr_es(m, ch, phi_a, design, sigma2))
-    return secrecy_rate(r_lu, r_eve, r_st)
-
-
-def sensing_channel_es(ch: ChannelRealization, phi_a: np.ndarray) -> np.ndarray:
-    """Two-way sensing channel g_s (via the reflection-side cascade)."""
-    return effective_channel(ch.g_bs, ch.g_rs, phi_a, ch.H)
-
+# ---------------------------------------------------------------------------
+# sensing
 
 def echo_snr_lower_bound(g_s: np.ndarray, design: TransmitDesign,
                          u: np.ndarray, sensing: SensingParams) -> float:
@@ -175,105 +153,31 @@ def optimal_filter(g_s: np.ndarray, design: TransmitDesign) -> np.ndarray:
     return u / denom
 
 
-def echo_snr_es(ch: ChannelRealization, phi_a: np.ndarray,
-                design: TransmitDesign, sensing: SensingParams):
-    """(SNR at the optimal filter, the filter). Degenerate sensing
-    channels yield SNR 0 and a None filter."""
-    g_s = sensing_channel_es(ch, phi_a)
-    try:
-        u = optimal_filter(g_s, design)
-    except DegenerateFilterError:
-        return 0.0, None
-    return echo_snr_lower_bound(g_s, design, u, sensing), u
-
-
 # ---------------------------------------------------------------------------
-# time-switching mode
+# one slot, summed over the surface's periods
 
-def lu_sinr_ts(m, ch, cfg: StarRisTsConfig, design, sigma2, period: str):
-    """Per-period LU SINR: reflection period sees the direct link only,
-    transmission period sees the Phi_B^TS cascade."""
-    if period == "A":
-        h = ch.h_bm[m]
-    else:
-        phi_b = np.diag(np.exp(1j * cfg.phi_b))
-        h = effective_channel(ch.h_bm[m], ch.h_rm[m], phi_b, ch.H)
-    return _sinr(h, design.K_s, design.K_w, m, sigma2)
-
-
-def eve_sinr_ts(m, ch, cfg, design, sigma2, period: str):
-    if period == "A":
-        h = ch.h_be
-    else:
-        phi_b = np.diag(np.exp(1j * cfg.phi_b))
-        h = effective_channel(ch.h_be, ch.h_re, phi_b, ch.H)
-    return _sinr(h, design.K_s, design.K_w, m, sigma2)
-
-
-def st_sinr_ts(m, ch, cfg, design, sigma2, period: str):
-    # mirrors the echo-SNR split: direct link in the pi_1 term, Phi_A^TS
-    # cascade in the pi_2 term
-    if period == "A":
-        g = ch.g_bs
-    else:
-        phi_a = np.diag(np.exp(1j * cfg.phi_a))
-        g = effective_channel(ch.g_bs, ch.g_rs, phi_a, ch.H)
-    return _sinr(g, design.K_s, design.K_w, m, sigma2)
-
-
-def ts_rates(m, ch, cfg: StarRisTsConfig, design, sigma2):
-    """(LU, Eve, ST) rates as pi-weighted combinations of the two
-    per-period rates."""
-    r_lu = (cfg.pi_1 * rate(lu_sinr_ts(m, ch, cfg, design, sigma2, "A"))
-            + cfg.pi_2 * rate(lu_sinr_ts(m, ch, cfg, design, sigma2, "B")))
-    r_eve = (cfg.pi_1 * rate(eve_sinr_ts(m, ch, cfg, design, sigma2, "A"))
-             + cfg.pi_2 * rate(eve_sinr_ts(m, ch, cfg, design, sigma2, "B")))
-    r_st = (cfg.pi_1 * rate(st_sinr_ts(m, ch, cfg, design, sigma2, "A"))
-            + cfg.pi_2 * rate(st_sinr_ts(m, ch, cfg, design, sigma2, "B")))
-    return r_lu, r_eve, r_st
-
-
-def secrecy_rate_ts(m, ch, cfg, design, sigma2) -> float:
-    r_lu, r_eve, r_st = ts_rates(m, ch, cfg, design, sigma2)
-    return secrecy_rate(r_lu, r_eve, r_st)
-
-
-def sensing_channels_ts(ch: ChannelRealization, cfg: StarRisTsConfig):
-    """(direct-only, Phi_A^TS cascade) sensing channels."""
-    phi_a = np.diag(np.exp(1j * cfg.phi_a))
-    return ch.g_bs, effective_channel(ch.g_bs, ch.g_rs, phi_a, ch.H)
-
-
-def echo_snr_ts(ch, cfg: StarRisTsConfig, design, u1, u2,
-                sensing: SensingParams) -> float:
-    """pi_1-weighted direct term plus pi_2-weighted cascaded term, each
-    a Rayleigh quotient."""
-    g1, g2 = sensing_channels_ts(ch, cfg)
-    s1 = echo_snr_lower_bound(g1, design, u1, sensing)
-    s2 = echo_snr_lower_bound(g2, design, u2, sensing)
-    return cfg.pi_1 * s1 + cfg.pi_2 * s2
-
-
-def optimal_filters_ts(ch, cfg: StarRisTsConfig, design):
-    """(u1*, u2*), each maximizing its own quotient term; None where the
-    term is degenerate."""
-    g1, g2 = sensing_channels_ts(ch, cfg)
-    filters = []
-    for g in (g1, g2):
+def evaluate(ch: ChannelRealization, periods, design: TransmitDesign,
+             sigma2: float, sensing: SensingParams):
+    """(LU, Eve, target rates per user, echo SNR) of one slot, each the
+    weighted sum over the (weight, Phi_A, Phi_B) periods. The echo SNR
+    of a period is taken at its closed-form filter, and is 0 where the
+    target's channel is degenerate."""
+    D, R, H = ch.D, ch.R, ch.H
+    lu = eve = st = echo = 0.0
+    for weight, phi_a, phi_b in periods:
+        h_eff = effective_channels(D, R, H, phi_a, phi_b)
+        r = rate(sinrs(h_eff, design, sigma2))
+        M = r.shape[1]
+        lu = lu + weight * r.diagonal()
+        eve = eve + weight * r[M]
+        st = st + weight * r[M + 1]
+        g_s = h_eff[M + 1].conj()
         try:
-            filters.append(optimal_filter(g, design))
+            u = optimal_filter(g_s, design)
         except DegenerateFilterError:
-            filters.append(None)
-    return tuple(filters)
-
-
-def echo_snr_ts_optimal(ch, cfg, design, sensing: SensingParams):
-    """(pi-weighted echo SNR at the optimal filters, (u1, u2))."""
-    g1, g2 = sensing_channels_ts(ch, cfg)
-    u1, u2 = optimal_filters_ts(ch, cfg, design)
-    s1 = echo_snr_lower_bound(g1, design, u1, sensing) if u1 is not None else 0.0
-    s2 = echo_snr_lower_bound(g2, design, u2, sensing) if u2 is not None else 0.0
-    return cfg.pi_1 * s1 + cfg.pi_2 * s2, (u1, u2)
+            continue
+        echo += weight * echo_snr_lower_bound(g_s, design, u, sensing)
+    return lu, eve, st, echo
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
-
 
 class RlError(ValueError):
     pass
@@ -232,31 +230,3 @@ class ReplayBuffer:
             "dones": self.dones[idx],
         }
 
-
-def save_networks(path, **nets) -> None:
-    """Versioned binary checkpoint; round-trips bit-exactly."""
-    payload = {"__version__": np.array(CHECKPOINT_VERSION)}
-    for name, net in nets.items():
-        payload[f"{name}.sizes"] = np.array(net.sizes)
-        payload[f"{name}.out_act"] = np.array(net.activations[-1])
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            payload[f"{name}.w{i}"] = w
-            payload[f"{name}.b{i}"] = b
-    np.savez(path, **payload)
-
-
-def load_networks(path) -> dict:
-    with np.load(path) as data:
-        version = int(data["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise RlError(f"unsupported checkpoint version {version}")
-        names = sorted({k.split(".")[0] for k in data.files if "." in k})
-        nets = {}
-        for name in names:
-            sizes = data[f"{name}.sizes"].tolist()
-            net = Mlp(sizes, output_activation=str(data[f"{name}.out_act"]))
-            for i in range(len(sizes) - 1):
-                net.weights[i] = data[f"{name}.w{i}"]
-                net.biases[i] = data[f"{name}.b{i}"]
-            nets[name] = net
-    return nets

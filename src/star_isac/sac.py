@@ -108,11 +108,6 @@ class SacAgent:
             return a[0], float(log_prob[0])
         return a, log_prob
 
-    def deterministic_action(self, state) -> np.ndarray:
-        mean, _, _, _ = self._policy_stats(state)
-        out = np.tanh(mean)
-        return out[0] if np.asarray(state).ndim == 1 else out
-
     # ---- targets and critics ---------------------------------------------
     def soft_q_target(self, batch, eps=None) -> np.ndarray:
         """r + gamma*(min(Q1bar,Q2bar)(s',a') - alpha*logpi(a'|s')) with a'

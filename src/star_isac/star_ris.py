@@ -45,10 +45,6 @@ class StarRisEsConfig:
         object.__setattr__(self, "sign", sign)
 
     @property
-    def n_elements(self) -> int:
-        return self.theta.size
-
-    @property
     def alpha_a_sq(self) -> np.ndarray:
         # the double complement makes alpha_a_sq + alpha_b_sq == 1.0 hold
         # exactly in floating point (one side always lands in the
@@ -92,21 +88,31 @@ class StarRisTsConfig:
     def pi_2(self) -> float:
         return 1.0 - self.pi_1
 
-    @property
-    def n_elements(self) -> int:
-        return self.phi_a.size
+
+def es_coefficients(cfg: StarRisEsConfig):
+    """Per-element coefficients (Phi_A, Phi_B); |A|^2 + |B|^2 = 1."""
+    return (cfg.alpha_a * np.exp(1j * cfg.phi_a),
+            cfg.alpha_b * np.exp(1j * cfg.phi_b))
 
 
-def es_matrices(cfg: StarRisEsConfig):
-    """Diagonal (Phi_A, Phi_B); per element |A|^2 + |B|^2 = 1."""
-    phi_a = np.diag(cfg.alpha_a * np.exp(1j * cfg.phi_a))
-    phi_b = np.diag(cfg.alpha_b * np.exp(1j * cfg.phi_b))
-    return phi_a, phi_b
+def ts_coefficients(cfg: StarRisTsConfig):
+    """Unit-modulus per-element coefficients (Phi_A^TS, Phi_B^TS)."""
+    return np.exp(1j * cfg.phi_a), np.exp(1j * cfg.phi_b)
 
 
-def ts_matrices(cfg: StarRisTsConfig):
-    """Diagonal unit-modulus (Phi_A^TS, Phi_B^TS)."""
-    return np.diag(np.exp(1j * cfg.phi_a)), np.diag(np.exp(1j * cfg.phi_b))
+def ts_periods(cfg: StarRisTsConfig) -> list:
+    """The TS protocol as (weight, Phi_A, Phi_B) periods.
+
+    Convention: the surface is dark for pi_1, where every receiver sees
+    only its direct link, and serves both sides for pi_2, the users and
+    Eve through Phi_B^TS and the sensing target through Phi_A^TS. In the
+    TS protocol of Mu et al. (IEEE TWC 2022) the elements instead reflect
+    in one period and transmit in the other, so the target would see
+    Phi_A^TS while the users see only their direct links; this model has
+    not been checked against that reading.
+    """
+    dark = np.zeros(cfg.phi_a.size)
+    return [(cfg.pi_1, dark, dark), (cfg.pi_2, *ts_coefficients(cfg))]
 
 
 def project_raw_action_es(raw: np.ndarray) -> StarRisEsConfig:

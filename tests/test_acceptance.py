@@ -19,8 +19,9 @@ from star_isac.experiments import (ScenarioConfig, measure_runtime,
                                    run_scenario)
 from star_isac.physics import SensingParams, TransmitDesign
 from star_isac.sac import SacAgent
-from star_isac.star_ris import (es_matrices, project_raw_action_es,
-                                project_raw_action_ts, ts_matrices)
+from star_isac.star_ris import (StarRisTsConfig, project_raw_action_es,
+                                project_raw_action_ts, ts_coefficients,
+                                ts_periods)
 
 import train_cache
 from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
@@ -39,11 +40,23 @@ def _instance(rng):
     M = int(rng.integers(1, 4))
     inst = random_instance(rng, L=L, N=N, M=M)
     ch = ChannelRealization(
-        slot=0, H=inst["H"], h_bm=inst["h_bm"], h_rm=inst["h_rm"],
-        h_be=inst["h_be"], h_re=inst["h_re"], g_bs=inst["g_bs"],
-        g_rs=inst["g_rs"])
+        slot=0, H_fading=inst["H"],
+        D_fading=np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
+        R_fading=np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
     design = TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
     return inst, ch, design, L, N, M
+
+
+def _channels(ch, phi_a, phi_b):
+    """Effective channels of every receiver (users, Eve, target) for
+    surfaces given as coefficient vectors."""
+    return physics.effective_channels(ch.D, ch.R, ch.H, phi_a, phi_b)
+
+
+def _target(ch, inst):
+    """The sensing channel g_s under the instance's ES surfaces, which
+    the oracle instances hold as diagonal matrices."""
+    return _channels(ch, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))[-1].conj()
 
 
 def test_criterion_01_physics_oracles():
@@ -55,17 +68,19 @@ def test_criterion_01_physics_oracles():
         inst, ch, design, L, N, M = _instance(rng)
         phi_a, phi_b = inst["phi_a"], inst["phi_b"]
         sigma2 = float(rng.uniform(0.5, 2.0))
+        h_eff = _channels(ch, np.diag(phi_a), np.diag(phi_b))
+        sinr = physics.sinrs(h_eff, design, sigma2)
         for m in range(M):
             pairs = [
-                (physics.lu_sinr_es(m, ch, phi_b, design, sigma2),
+                (sinr[m, m],
                  naive_sinr(naive_effective_channel(
                      inst["h_bm"][m], inst["h_rm"][m], phi_b, inst["H"]),
                      inst["K_s"], inst["K_w"], m, sigma2)),
-                (physics.eve_sinr_es(m, ch, phi_b, design, sigma2),
+                (sinr[M, m],
                  naive_sinr(naive_effective_channel(
                      inst["h_be"], inst["h_re"], phi_b, inst["H"]),
                      inst["K_s"], inst["K_w"], m, sigma2)),
-                (physics.st_sinr_es(m, ch, phi_a, design, sigma2),
+                (sinr[M + 1, m],
                  naive_sinr(naive_effective_channel(
                      inst["g_bs"], inst["g_rs"], phi_a, inst["H"]),
                      inst["K_s"], inst["K_w"], m, sigma2)),
@@ -78,7 +93,7 @@ def test_criterion_01_physics_oracles():
             sec = physics.secrecy_rate(*r)
             worst = max(worst, abs(sec - (max(r[0] - r[1], 0)
                                           + max(r[0] - r[2], 0))))
-        g_s = physics.sensing_channel_es(ch, phi_a)
+        g_s = h_eff[-1].conj()
         u = rng.standard_normal(L * (L + M)) \
             + 1j * rng.standard_normal(L * (L + M))
         got = physics.echo_snr_lower_bound(g_s, design, u, sensing)
@@ -103,10 +118,9 @@ def test_criterion_02_coupling_invariants():
     for _ in range(10_000):
         cfg = project_raw_action_ts(rng.uniform(-1, 1, 2 * 8 + 1))
         worst_pi = max(worst_pi, abs(cfg.pi_1 + cfg.pi_2 - 1.0))
-        pa, pb = ts_matrices(cfg)
-        worst_mod = max(worst_mod, float(np.max(np.abs(
-            np.abs(np.diag(pa)) - 1.0))), float(np.max(np.abs(
-            np.abs(np.diag(pb)) - 1.0))))
+        pa, pb = ts_coefficients(cfg)
+        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(pa) - 1.0))),
+                        float(np.max(np.abs(np.abs(pb) - 1.0))))
     ok = (worst_sum == 0.0 and worst_cos < 1e-12
           and worst_pi == 0.0 and worst_mod < 1e-12)
     _report(2, "coupling invariants", ok,
@@ -122,7 +136,7 @@ def test_criterion_03_filter_optimality():
     worst_scale = 0.0
     for _ in range(100):
         inst, ch, design, L, N, M = _instance(rng)
-        g_s = physics.sensing_channel_es(ch, inst["phi_a"])
+        g_s = _target(ch, inst)
         star = physics.optimal_filter(g_s, design)
         best = physics.echo_snr_lower_bound(g_s, design, star, sensing)
         n = star.size
@@ -139,17 +153,20 @@ def test_criterion_03_filter_optimality():
     for _ in range(20):
         rng2 = np.random.default_rng(int(rng.integers(1 << 31)))
         inst, ch, design, L, N, M = _instance(rng2)
-        from star_isac.star_ris import StarRisTsConfig
         cfg = StarRisTsConfig(float(rng2.uniform()),
                               rng2.uniform(0, 2 * np.pi, N),
                               rng2.uniform(0, 2 * np.pi, N))
-        best, (u1, u2) = physics.echo_snr_ts_optimal(ch, cfg, design, sensing)
-        n = u1.size
+        periods = ts_periods(cfg)
+        best = physics.evaluate(ch, periods, design, 1.0, sensing)[3]
+        targets = [(w, _channels(ch, pa, pb)[-1].conj())
+                   for w, pa, pb in periods]
+        n = design.K.size
         for _ in range(1000):
             v1 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
             v2 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
-            if physics.echo_snr_ts(ch, cfg, design, v1, v2, sensing) \
-                    > best * (1 + 1e-12):
+            got = sum(w * physics.echo_snr_lower_bound(g, design, v, sensing)
+                      for (w, g), v in zip(targets, (v1, v2)))
+            if got > best * (1 + 1e-12):
                 ts_violations += 1
     ok = violations == 0 and ts_violations == 0 and worst_scale < 1e-12
     _report(3, "filter optimality", ok,
@@ -163,7 +180,7 @@ def test_criterion_04_jensen_bound():
     min_margin = np.inf
     for _ in range(100):
         inst, ch, design, L, N, M = _instance(rng)
-        g_s = physics.sensing_channel_es(ch, inst["phi_a"])
+        g_s = _target(ch, inst)
         u = physics.optimal_filter(g_s, design)
         bound = physics.echo_snr_lower_bound(
             g_s, design, u, SensingParams(1.3, 5, 0.7, 1.0))

@@ -150,9 +150,9 @@ class TestEpisodeChannels:
         assert len(chans) == 1
         ch = chans[0]
         assert ch.H.shape == (12, 4)
-        assert len(ch.h_bm) == 2 and ch.h_bm[0].shape == (4,)
-        assert all(np.all(np.isfinite(v)) for v in
-                   [ch.H, ch.h_be, ch.h_re, ch.g_bs, ch.g_rs])
+        # rows: 2 users, Eve, target
+        assert ch.D.shape == (4, 4) and ch.R.shape == (4, 12)
+        assert all(np.all(np.isfinite(v)) for v in [ch.H, ch.D, ch.R])
 
     def test_t_must_be_positive(self):
         with pytest.raises(ChannelError):
@@ -166,7 +166,7 @@ class TestEpisodeChannels:
                                       L=4, N=12, T=3, seed=11)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.H, cb.H)
-            assert np.array_equal(ca.g_rs, cb.g_rs)
+            assert np.array_equal(ca.R, cb.R)
 
     def test_seeds_differ(self):
         a = generate_episode_channels(default_geometry(), default_fading(),
@@ -183,10 +183,10 @@ class TestEpisodeChannels:
                                           T=4000, seed=3)
         losses = link_loss_table(geometry, params)
         lin = loss_db_to_amplitude(losses["bs_eve"]) ** 2
-        emp = np.mean([np.mean(np.abs(ch.h_be) ** 2) for ch in chans])
+        emp = np.mean([np.mean(np.abs(ch.D[-2]) ** 2) for ch in chans])
         assert emp == pytest.approx(lin, rel=0.03)
         lin_st = loss_db_to_amplitude(losses["ris_st"]) ** 2
-        emp_st = np.mean([np.mean(np.abs(ch.g_rs) ** 2) for ch in chans])
+        emp_st = np.mean([np.mean(np.abs(ch.R[-1]) ** 2) for ch in chans])
         assert emp_st == pytest.approx(lin_st, rel=0.03)
 
     def test_bs_ris_uses_los_others_nlos(self):

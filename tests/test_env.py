@@ -124,8 +124,7 @@ class TestStepPhysics:
         env.reset()
         rng = np.random.default_rng(4)
         for _ in range(20):
-            design, _, _, _ = env.decode_action(
-                rng.uniform(-1, 1, env.action_dim))
+            design, _ = env.decode_action(rng.uniform(-1, 1, env.action_dim))
             tr = np.trace(design.K @ design.K.conj().T).real
             assert tr <= env.p_max * (1 + 1e-12)
 
@@ -151,11 +150,11 @@ class TestStepPhysics:
         env.reset()
         ch = env.channels[0]
         raw = np.random.default_rng(6).uniform(-1, 1, env.action_dim)
-        design, _, _, phi_b = env.decode_action(raw)
+        design, [(_, _, phi_b)] = env.decode_action(raw)
         assert np.allclose(phi_b, 0.0)
         out = env.step(raw)
         for m in range(env.M):
-            oracle = naive_sinr(np.conj(ch.h_bm[m]), design.K_s, design.K_w,
+            oracle = naive_sinr(np.conj(ch.D[m]), design.K_s, design.K_w,
                                 m, env.noise_power)
             assert out.lu_rates[m] == pytest.approx(
                 np.log2(1 + oracle.real), rel=1e-10)
@@ -164,8 +163,8 @@ class TestStepPhysics:
         env = make_env(baseline="spliced")
         env.reset()
         raw = np.random.default_rng(7).uniform(-1, 1, env.action_dim)
-        _, _, phi_a, phi_b = env.decode_action(raw)
-        da, db = np.abs(np.diag(phi_a)), np.abs(np.diag(phi_b))
+        _, [(_, phi_a, phi_b)] = env.decode_action(raw)
+        da, db = np.abs(phi_a), np.abs(phi_b)
         assert np.allclose(da, [1, 1, 0, 0], atol=1e-15)
         assert np.allclose(db, [0, 0, 1, 1], atol=1e-15)
 

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(protocol="fdd"), dict(algorithm="ppo"), dict(baseline="ris"),
         dict(L=0), dict(seeds=()), dict(N=5, n_x=2),
+        dict(protocol="ts", baseline="spliced"),
+        dict(baseline="spliced", N=5, n_x=5),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -196,16 +199,31 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_x", "0"), ("T", "0"), ("episodes", "0"), ("gamma", "1.5"),
+        ("batch_size", "0"), ("hidden_units", "0"), ("lr", "-1"),
+        ("sensing_slots", "0"), ("buffer_capacity", "39"), ("soft_rate", "0"),
+        ("freq_ghz", "0"), ("p0_dbm", "nan"), ("seeds", "-1"),
+    ])
+    def test_bad_value_exit_two_names_key(self, tmp_path, capsys, key, value):
+        p = Path(self.write_cfg(tmp_path))
+        p.write_text(p.read_text() + f"{key} = {value}\n")
+        rc = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"config error: {key}" in err
+
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
 
     def test_invalid_override_combo_exit_two(self, tmp_path, capsys):
-        # TS protocol with a reduced baseline is rejected at run time
+        # TS protocol with a reduced baseline is a config error
         rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
                        "--protocol", "ts", "--baseline", "spliced",
                        "--out", str(tmp_path / "out")])
-        assert rc in (2, 3)
+        assert rc == 2
+        assert "config error: baseline" in capsys.readouterr().err
 
     def test_bench_exit_zero(self, tmp_path, capsys):
         rc = cli_main(["bench", "--config", self.write_cfg(tmp_path),

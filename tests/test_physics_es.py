@@ -4,73 +4,80 @@ import pytest
 from star_isac.channel import ChannelRealization
 from star_isac.physics import (DegenerateFilterError, PhysicsError,
                                SensingParams, TransmitDesign,
-                               echo_snr_lower_bound, effective_channel,
-                               eve_sinr_es, lu_sinr_es, optimal_filter,
-                               project_power, reward, secrecy_rate,
-                               secrecy_rate_es, sensing_channel_es,
-                               st_sinr_es)
+                               echo_snr_lower_bound, effective_channels,
+                               evaluate, optimal_filter, project_power,
+                               reward, secrecy_rate, sinrs)
 
 from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
                      naive_effective_channel, naive_sinr, random_instance)
 
 
 def make_channel(inst):
+    """Receivers stacked as users, Eve, target; unit amplitudes."""
     return ChannelRealization(
-        slot=0, H=inst["H"], h_bm=inst["h_bm"], h_rm=inst["h_rm"],
-        h_be=inst["h_be"], h_re=inst["h_re"], g_bs=inst["g_bs"],
-        g_rs=inst["g_rs"])
+        slot=0, H_fading=inst["H"],
+        D_fading=np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
+        R_fading=np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
 
 
 def make_design(inst):
     return TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
 
 
+def es_channels(inst):
+    """Effective channels of every receiver under the instance's ES
+    surfaces (the oracle instances hold them as diagonal matrices)."""
+    ch = make_channel(inst)
+    return effective_channels(ch.D, ch.R, ch.H, np.diag(inst["phi_a"]),
+                              np.diag(inst["phi_b"]))
+
+
+def target_channel(inst):
+    """Sensing channel g_s through the reflection-side cascade."""
+    return es_channels(inst)[-1].conj()
+
+
 class TestSinrEs:
     def test_single_user_no_radar(self):
         # h = e_1, k_s = sqrt(P) e_1, no radar, unit noise -> SINR = P
         L, P = 3, 7.0
-        ch = ChannelRealization(
-            slot=0, H=np.zeros((4, L)), h_bm=[np.eye(L)[0] + 0j],
-            h_rm=[np.zeros(4, complex)], h_be=np.zeros(L, complex),
-            h_re=np.zeros(4, complex), g_bs=np.zeros(L, complex),
-            g_rs=np.zeros(4, complex))
+        D = np.zeros((3, L), complex)
+        D[0, 0] = 1.0
+        h_eff = effective_channels(D, np.zeros((3, 4), complex),
+                                   np.zeros((4, L)), np.zeros(4), np.zeros(4))
         design = TransmitDesign(
             K_s=(np.sqrt(P) * np.eye(L)[:, :1]).astype(complex),
             K_w=np.zeros((L, L), complex))
-        phi_b = np.zeros((4, 4), complex)
-        assert lu_sinr_es(0, ch, phi_b, design, 1.0) == pytest.approx(P)
+        assert sinrs(h_eff, design, 1.0)[0, 0] == pytest.approx(P)
 
     def test_zero_beamformer_gives_zero(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng)
         inst["K_s"] = np.zeros_like(inst["K_s"])
         inst["K_w"] = np.zeros_like(inst["K_w"])
-        assert lu_sinr_es(0, make_channel(inst), inst["phi_b"],
-                          make_design(inst), 1.0) == 0.0
+        assert np.all(sinrs(es_channels(inst), make_design(inst), 1.0) == 0.0)
 
     def test_noise_must_be_positive(self):
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
         with pytest.raises(PhysicsError):
-            lu_sinr_es(0, make_channel(inst), inst["phi_b"],
-                       make_design(inst), 0.0)
+            sinrs(es_channels(inst), make_design(inst), 0.0)
 
     def test_identical_channels_equal_sinr(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng)
         inst["h_be"] = inst["h_bm"][0].copy()
         inst["h_re"] = inst["h_rm"][0].copy()
-        ch, design = make_channel(inst), make_design(inst)
-        assert eve_sinr_es(0, ch, inst["phi_b"], design, 1.0) == pytest.approx(
-            lu_sinr_es(0, ch, inst["phi_b"], design, 1.0), rel=1e-12)
+        s = sinrs(es_channels(inst), make_design(inst), 1.0)
+        M = s.shape[1]
+        assert s[M, 0] == pytest.approx(s[0, 0], rel=1e-12)
 
     def test_eve_orthogonal_channel_zero_sinr(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, L=3, M=2)
         inst["h_be"] = np.zeros(3, complex)
         inst["h_re"] = np.zeros(6, complex)
-        assert eve_sinr_es(0, make_channel(inst), inst["phi_b"],
-                           make_design(inst), 1.0) == 0.0
+        assert np.all(sinrs(es_channels(inst), make_design(inst), 1.0)[2] == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
@@ -79,22 +86,22 @@ class TestSinrEs:
         N = 2 * int(rng.integers(1, 5))
         M = int(rng.integers(1, 4))
         inst = random_instance(rng, L=L, N=N, M=M)
-        ch, design = make_channel(inst), make_design(inst)
         sigma2 = float(rng.uniform(0.1, 2.0))
+        s = sinrs(es_channels(inst), make_design(inst), sigma2)
+        assert s.shape == (M + 2, M)
         for m in range(M):
             hH = naive_effective_channel(
                 inst["h_bm"][m], inst["h_rm"][m], inst["phi_b"], inst["H"])
             expect = naive_sinr(hH, inst["K_s"], inst["K_w"], m, sigma2)
-            got = lu_sinr_es(m, ch, inst["phi_b"], design, sigma2)
-            assert got == pytest.approx(expect, abs=1e-10, rel=1e-10)
+            assert s[m, m] == pytest.approx(expect, abs=1e-10, rel=1e-10)
             eH = naive_effective_channel(
                 inst["h_be"], inst["h_re"], inst["phi_b"], inst["H"])
-            assert eve_sinr_es(m, ch, inst["phi_b"], design, sigma2) == \
+            assert s[M, m] == \
                 pytest.approx(naive_sinr(eH, inst["K_s"], inst["K_w"], m, sigma2),
                               abs=1e-10, rel=1e-10)
             gH = naive_effective_channel(
                 inst["g_bs"], inst["g_rs"], inst["phi_a"], inst["H"])
-            assert st_sinr_es(m, ch, inst["phi_a"], design, sigma2) == \
+            assert s[M + 1, m] == \
                 pytest.approx(naive_sinr(gH, inst["K_s"], inst["K_w"], m, sigma2),
                               abs=1e-10, rel=1e-10)
 
@@ -113,14 +120,25 @@ class TestSecrecyRate:
             assert secrecy_rate(r[0], r[1], r[2]) >= 0.0
 
     def test_es_wrapper_consistent(self):
+        # one ES period: user m reads entry [m, m], Eve row M, the target
+        # row M+1, and the echo SNR is taken at the closed-form filter
         rng = np.random.default_rng(5)
         inst = random_instance(rng)
-        ch, design = make_channel(inst), make_design(inst)
-        got = secrecy_rate_es(0, ch, inst["phi_a"], inst["phi_b"], design, 1.0)
-        r_lu = np.log2(1 + lu_sinr_es(0, ch, inst["phi_b"], design, 1.0))
-        r_e = np.log2(1 + eve_sinr_es(0, ch, inst["phi_b"], design, 1.0))
-        r_s = np.log2(1 + st_sinr_es(0, ch, inst["phi_a"], design, 1.0))
-        assert got == pytest.approx(max(r_lu - r_e, 0) + max(r_lu - r_s, 0))
+        design = make_design(inst)
+        sensing = SensingParams(tau=1.0, P=2, sigma_s2=0.5, kappa_t=1.0)
+        period = (1.0, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))
+        lu, eve, st, echo = evaluate(make_channel(inst), [period], design,
+                                     1.0, sensing)
+        r = np.log2(1 + sinrs(es_channels(inst), design, 1.0))
+        M = r.shape[1]
+        assert np.array_equal(lu, [r[m, m] for m in range(M)])
+        assert np.array_equal(eve, r[M]) and np.array_equal(st, r[M + 1])
+        got = secrecy_rate(lu[0], eve[0], st[0])
+        assert got == pytest.approx(max(r[0, 0] - r[M, 0], 0)
+                                    + max(r[0, 0] - r[M + 1, 0], 0))
+        g = target_channel(inst)
+        assert echo == echo_snr_lower_bound(g, design,
+                                            optimal_filter(g, design), sensing)
 
 
 class TestEchoSnr:
@@ -184,7 +202,7 @@ class TestOptimalFilter:
         for _ in range(20):
             inst = random_instance(rng)
             design = make_design(inst)
-            g = sensing_channel_es(make_channel(inst), inst["phi_a"])
+            g = target_channel(inst)
             u_star = optimal_filter(g, design)
             best = echo_snr_lower_bound(g, design, u_star, self.sensing)
             for _ in range(200):
@@ -200,7 +218,7 @@ class TestOptimalFilter:
         rng = np.random.default_rng(9)
         inst = random_instance(rng)
         design = make_design(inst)
-        g = sensing_channel_es(make_channel(inst), inst["phi_a"])
+        g = target_channel(inst)
         u_star = optimal_filter(g, design)
         best = echo_snr_lower_bound(g, design, u_star, self.sensing)
         for _ in range(20):
@@ -235,7 +253,7 @@ class TestOptimalFilter:
         inst = random_instance(rng, L=2, N=4, M=1)
         design = make_design(inst)
         K = design.K
-        g = sensing_channel_es(make_channel(inst), inst["phi_a"])
+        g = target_channel(inst)
         u = optimal_filter(g, design)
         sensing = SensingParams(tau=1.0, P=3, sigma_s2=0.5, kappa_t=1.0)
         lower = echo_snr_lower_bound(g, design, u, sensing)
@@ -311,8 +329,11 @@ class TestReward:
 def test_effective_channel_matches_naive():
     rng = np.random.default_rng(14)
     inst = random_instance(rng, L=4, N=8, M=2)
-    h = effective_channel(inst["h_bm"][0], inst["h_rm"][0], inst["phi_b"],
-                          inst["H"])
-    hH = naive_effective_channel(inst["h_bm"][0], inst["h_rm"][0],
-                                 inst["phi_b"], inst["H"])
-    assert np.allclose(h.conj(), hH, atol=1e-12)
+    h = es_channels(inst)
+    links = [(inst["h_bm"][0], inst["h_rm"][0], inst["phi_b"]),
+             (inst["h_bm"][1], inst["h_rm"][1], inst["phi_b"]),
+             (inst["h_be"], inst["h_re"], inst["phi_b"]),
+             (inst["g_bs"], inst["g_rs"], inst["phi_a"])]
+    for row, (direct, ris_side, phi) in zip(h, links):
+        hH = naive_effective_channel(direct, ris_side, phi, inst["H"])
+        assert np.allclose(row, hH, atol=1e-12)

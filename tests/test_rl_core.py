@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from star_isac.rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, RlError,
-                               load_networks, save_networks, soft_update)
+                               soft_update)
 
 
 def flat_numeric_grad(net, x, loss_fn, h=1e-5):
@@ -212,33 +212,6 @@ class TestReplayBuffer:
                 counts[int(r)] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01
-
-
-class TestCheckpoints:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(13)
-        actor = Mlp([4, 8, 2], output_activation="tanh", rng=rng)
-        critic = Mlp([6, 8, 1], rng=rng)
-        path = tmp_path / "ckpt.npz"
-        save_networks(path, actor=actor, critic=critic)
-        nets = load_networks(path)
-        assert set(nets) == {"actor", "critic"}
-        assert np.array_equal(nets["actor"].get_flat(), actor.get_flat())
-        assert np.array_equal(nets["critic"].get_flat(), critic.get_flat())
-        assert nets["actor"].activations[-1] == "tanh"
-        x = rng.standard_normal((3, 4))
-        assert np.array_equal(nets["actor"](x), actor(x))
-
-    def test_version_check(self, tmp_path):
-        rng = np.random.default_rng(14)
-        net = Mlp([2, 2], rng=rng)
-        path = tmp_path / "ckpt.npz"
-        save_networks(path, net=net)
-        data = dict(np.load(path))
-        data["__version__"] = np.array(99)
-        np.savez(path, **data)
-        with pytest.raises(RlError):
-            load_networks(path)
 
 
 class TestRewardScale:

@@ -59,12 +59,6 @@ class TestSquash:
         total = np.trapezoid(dens, grid)
         assert total == pytest.approx(1.0, abs=5e-3)
 
-    def test_deterministic_action_is_tanh_mean(self):
-        agent = tiny_agent(seed=2)
-        s = np.ones(3)
-        mean, _, _, _ = agent._policy_stats(s)
-        assert np.allclose(agent.deterministic_action(s), np.tanh(mean[0]))
-
 
 class TestSoftQTarget:
     def test_gamma_zero_is_reward(self):

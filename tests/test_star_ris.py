@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from star_isac.star_ris import (StarRisError, StarRisEsConfig, StarRisTsConfig,
-                                es_matrices, project_raw_action_es,
-                                project_raw_action_ts, ts_matrices, wrap_pi)
+                                es_coefficients, project_raw_action_es,
+                                project_raw_action_ts, ts_coefficients, wrap_pi)
 
 raw_es = arrays(float, st.integers(2, 8).map(lambda n: 3 * n),
                 elements=st.floats(-1.0, 1.0))
@@ -31,23 +31,23 @@ class TestEsConfig:
     def test_full_reflection(self):
         cfg = StarRisEsConfig(theta=np.zeros(4), phi_b=np.zeros(4),
                               sign=np.ones(4))
-        phi_a, phi_b = es_matrices(cfg)
+        phi_a, phi_b = es_coefficients(cfg)
         assert np.allclose(phi_b, 0.0)
-        assert np.allclose(np.abs(np.diag(phi_a)), 1.0)
+        assert np.allclose(np.abs(phi_a), 1.0)
 
     def test_pi_third_element(self):
         cfg = StarRisEsConfig(theta=np.array([np.pi / 3]),
                               phi_b=np.array([0.0]), sign=np.array([1.0]))
-        phi_a, phi_b = es_matrices(cfg)
-        assert phi_a[0, 0] == pytest.approx(0.5j, abs=1e-12)
-        assert phi_b[0, 0] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+        phi_a, phi_b = es_coefficients(cfg)
+        assert phi_a[0] == pytest.approx(0.5j, abs=1e-12)
+        assert phi_b[0] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
 
     def test_modulus_square_sum(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             cfg = project_raw_action_es(rng.uniform(-1, 1, 9))
-            phi_a, phi_b = es_matrices(cfg)
-            total = np.abs(np.diag(phi_a)) ** 2 + np.abs(np.diag(phi_b)) ** 2
+            phi_a, phi_b = es_coefficients(cfg)
+            total = np.abs(phi_a) ** 2 + np.abs(phi_b) ** 2
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_theta_range_enforced(self):
@@ -93,23 +93,23 @@ class TestEsProjection:
 class TestTsConfig:
     def test_identity_at_zero_phase(self):
         cfg = StarRisTsConfig(pi_1=0.5, phi_a=np.zeros(4), phi_b=np.zeros(4))
-        phi_a, phi_b = ts_matrices(cfg)
-        assert np.allclose(phi_a, np.eye(4))
-        assert np.allclose(phi_b, np.eye(4))
+        phi_a, phi_b = ts_coefficients(cfg)
+        assert np.allclose(phi_a, 1.0)
+        assert np.allclose(phi_b, 1.0)
 
     def test_pi_phase_gives_minus_one(self):
         cfg = StarRisTsConfig(pi_1=0.2, phi_a=np.full(3, np.pi),
                               phi_b=np.zeros(3))
-        phi_a, _ = ts_matrices(cfg)
-        assert np.allclose(np.diag(phi_a), -1.0)
+        phi_a, _ = ts_coefficients(cfg)
+        assert np.allclose(phi_a, -1.0)
 
     def test_unit_modulus_random(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             cfg = project_raw_action_ts(rng.uniform(-1, 1, 9))
-            phi_a, phi_b = ts_matrices(cfg)
-            assert np.max(np.abs(np.abs(np.diag(phi_a)) - 1.0)) < 1e-12
-            assert np.max(np.abs(np.abs(np.diag(phi_b)) - 1.0)) < 1e-12
+            phi_a, phi_b = ts_coefficients(cfg)
+            assert np.max(np.abs(np.abs(phi_a) - 1.0)) < 1e-12
+            assert np.max(np.abs(np.abs(phi_b) - 1.0)) < 1e-12
 
     def test_time_fractions_sum_to_one(self):
         rng = np.random.default_rng(4)
