@@ -7,30 +7,27 @@ whole-surface modes and trades time fractions.
 """
 import numpy as np
 
-from star_isac.star_ris import (StarRisEsConfig, StarRisTsConfig,
-                                es_coefficients, ts_coefficients)
+from star_isac.star_ris import (es_coefficients, es_power_split, ts_periods,
+                                wrap_pi)
 
 print("ES protocol: amplitude split along theta (one element)")
 print(f"{'theta':>8} {'|A|^2':>8} {'|B|^2':>8} {'sum':>6} {'cos(dphi)':>10}")
 for theta in np.linspace(0, np.pi / 2, 7):
-    cfg = StarRisEsConfig(theta=np.array([theta]), phi_b=np.array([0.8]),
-                          sign=np.array([1.0]))
-    a2, b2 = cfg.alpha_a_sq[0], cfg.alpha_b_sq[0]
-    coupling = np.cos(cfg.phi_a[0] - cfg.phi_b[0])
+    a2, b2 = es_power_split(theta)
+    # the quarter-turn coupling es_coefficients applies, phi_b = 0.8
+    coupling = np.cos(wrap_pi(wrap_pi(0.8) + np.pi / 2.0) - wrap_pi(0.8))
     print(f"{theta:8.3f} {a2:8.4f} {b2:8.4f} {a2 + b2:6.3f} {coupling:10.1e}")
 
 print("\nTS protocol: unit-modulus faces, time split pi_1 / pi_2")
 for pi_1 in (0.0, 0.25, 0.5, 1.0):
-    cfg = StarRisTsConfig(pi_1=pi_1, phi_a=np.array([0.3, 1.1]),
-                          phi_b=np.array([2.0, 0.4]))
-    phi_a, phi_b = ts_coefficients(cfg)
+    _, (pi_2, phi_a, phi_b) = ts_periods(pi_1, np.array([0.3, 1.1]),
+                                         np.array([2.0, 0.4]))
     mods = np.abs(phi_a)
-    print(f"  pi_1={cfg.pi_1:.2f}  pi_2={cfg.pi_2:.2f}  "
+    print(f"  pi_1={pi_1:.2f}  pi_2={pi_2:.2f}  "
           f"|Phi_A| elements = {np.round(mods, 12)}")
 
 print("\nES full-transmission corner (theta = pi/2): reflection face dark")
-cfg = StarRisEsConfig(theta=np.full(3, np.pi / 2), phi_b=np.zeros(3),
-                      sign=np.ones(3))
-phi_a, phi_b = es_coefficients(cfg)
+phi_a, phi_b = es_coefficients(np.full(3, np.pi / 2), np.zeros(3),
+                               np.ones(3))
 print(f"  |Phi_A| diag = {np.abs(phi_a)}")
 print(f"  |Phi_B| diag = {np.abs(phi_b)}")

@@ -10,9 +10,8 @@ from .physics import (SensingParams, StepOutcome, TransmitDesign,
                       echo_snr_lower_bound, effective_channels, evaluate,
                       optimal_filter, project_power, reward, secrecy_rate,
                       sinrs)
-from .star_ris import (StarRisEsConfig, StarRisTsConfig, es_coefficients,
-                       project_raw_action_es, project_raw_action_ts,
-                       ts_coefficients, ts_periods)
+from .star_ris import (SURFACES, decode, es_coefficients, es_power_split,
+                       ts_periods)
 
 __all__ = [
     "ChannelRealization", "FadingParams", "SystemGeometry",
@@ -23,9 +22,7 @@ __all__ = [
     "SensingParams", "StepOutcome", "TransmitDesign",
     "echo_snr_lower_bound", "effective_channels", "evaluate",
     "optimal_filter", "project_power", "reward", "secrecy_rate", "sinrs",
-    "StarRisEsConfig", "StarRisTsConfig", "es_coefficients",
-    "project_raw_action_es", "project_raw_action_ts", "ts_coefficients",
-    "ts_periods",
+    "SURFACES", "decode", "es_coefficients", "es_power_split", "ts_periods",
 ]
 
 __version__ = "0.1.0"

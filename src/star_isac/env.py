@@ -15,9 +15,6 @@ from .channel import (ChannelRealization, FadingParams, SystemGeometry,
                       generate_episode_channels)
 from .physics import SensingParams, StepOutcome
 
-MODES = ("es", "ts")
-VARIANTS = ("star", "spliced", "conventional")
-
 
 class EnvError(RuntimeError):
     pass
@@ -35,11 +32,9 @@ def state_features(ch: ChannelRealization) -> np.ndarray:
 class SecureIsacEnv:
     """STAR-RIS aided ISAC secure-communication environment.
 
-    variant selects the surface architecture: "star" is the coupled
-    ES/TS model, "spliced" splits the elements into two reflect-only
-    halves facing opposite sides, "conventional" is a reflect-only
-    surface (users on the transmission side are reached via the direct
-    BS links only). The non-STAR variants are defined for ES mode.
+    variant selects the surface architecture ("star", "spliced" or
+    "conventional") and mode its protocol ("es" or "ts"); the supported
+    pairs are the keys of ``star_ris.SURFACES``, which documents them.
     """
 
     def __init__(self, geometry: SystemGeometry, fading: FadingParams,
@@ -47,12 +42,9 @@ class SecureIsacEnv:
                  noise_power: float, p_max: float, r_min: float,
                  T: int, mode: str = "es", variant: str = "star",
                  seed: int = 0):
-        if mode not in MODES:
-            raise EnvError(f"unknown mode {mode!r}")
-        if variant not in VARIANTS:
-            raise EnvError(f"unknown variant {variant!r}")
-        if variant != "star" and mode != "es":
-            raise EnvError("spliced/conventional baselines are ES-only")
+        if (variant, mode) not in star_ris.SURFACES:
+            raise EnvError(f"unsupported surface: variant {variant!r} "
+                           f"with mode {mode!r}")
         if variant == "spliced" and N % 2 != 0:
             raise EnvError("spliced baseline needs an even element count")
         self.geometry = geometry
@@ -67,6 +59,8 @@ class SecureIsacEnv:
         self.T = T
         self.mode = mode
         self.variant = variant
+        _, per_element, extra = star_ris.SURFACES[variant, mode]
+        self.ris_action_dim = per_element * N + extra
         self._seed_seq = np.random.SeedSequence(seed)
         self._beam_len = 2 * L * (L + self.M)
         # per-entry magnitude caps for the beam coordinates: most of the
@@ -83,14 +77,6 @@ class SecureIsacEnv:
         self._prev_reward = 0.0
 
     # ---- dimensions -----------------------------------------------------
-    @property
-    def ris_action_dim(self) -> int:
-        if self.variant in ("spliced", "conventional"):
-            return self.N
-        if self.mode == "es":
-            return 3 * self.N
-        return 2 * self.N + 1
-
     @property
     def action_dim(self) -> int:
         return self._beam_len + self.ris_action_dim
@@ -121,9 +107,9 @@ class SecureIsacEnv:
 
     # ---- action decoding ------------------------------------------------
     def decode_action(self, raw: np.ndarray):
-        """(power-feasible design, surface periods): the surface state is
-        a list of (weight, Phi_A, Phi_B) periods, see ``physics``."""
-        raw = np.clip(np.asarray(raw, float), -1.0, 1.0)
+        """(power-feasible design, surface periods) for a raw action in
+        [-1, 1]^action_dim, which ``step`` clips it to; the surface state
+        is a list of (weight, Phi_A, Phi_B) periods, see ``physics``."""
         if raw.size != self.action_dim:
             raise EnvError(f"action length {raw.size} != {self.action_dim}")
         nb = self._beam_len // 2
@@ -132,23 +118,8 @@ class SecureIsacEnv:
         K_raw[:, :self.M] *= self._beam_scale_s
         K_raw[:, self.M:] *= self._beam_scale_w
         design = physics.project_power(K_raw, self.M, self.p_max)
-        ris_raw = raw[self._beam_len:]
-        if self.variant == "star" and self.mode == "ts":
-            return design, star_ris.ts_periods(
-                star_ris.project_raw_action_ts(ris_raw))
-        if self.variant == "star":
-            phi_a, phi_b = star_ris.es_coefficients(
-                star_ris.project_raw_action_es(ris_raw))
-        elif self.variant == "spliced":
-            half = self.N // 2
-            phases = ris_raw * np.pi
-            amp_a = np.concatenate([np.ones(half), np.zeros(self.N - half)])
-            phi_a = amp_a * np.exp(1j * phases)
-            phi_b = (1.0 - amp_a) * np.exp(1j * phases)
-        else:  # conventional: reflect-only, no transmission-side cascade
-            phi_a = np.exp(1j * ris_raw * np.pi)
-            phi_b = np.zeros(self.N)
-        return design, [(1.0, phi_a, phi_b)]
+        return design, star_ris.decode(self.variant, self.mode,
+                                       raw[self._beam_len:])
 
     # ---- stepping ---------------------------------------------------------
     def step(self, raw_action: np.ndarray) -> StepOutcome:
@@ -156,17 +127,18 @@ class SecureIsacEnv:
             raise EnvError("call reset() before step()")
         if self.t >= self.T:
             raise EnvError("episode finished; call reset()")
-        design, periods = self.decode_action(raw_action)
+        raw = np.clip(np.asarray(raw_action, float), -1.0, 1.0)
+        design, periods = self.decode_action(raw)
         lu, eve, st, echo = physics.evaluate(
             self.channels[self.t], periods, design, self.noise_power,
             self.sensing)
-        sec = np.array([physics.secrecy_rate(*r) for r in zip(lu, eve, st)])
+        sec = physics.secrecy_rate(lu, eve, st)
         sum_sec = float(sec.sum())
         r = physics.reward(echo, lu, sum_sec, self.r_min, self.sensing.kappa_t)
 
         self.t += 1
         done = self.t >= self.T
-        self._prev_action = np.clip(np.asarray(raw_action, float), -1.0, 1.0)
+        self._prev_action = raw
         self._prev_reward = r
         next_state = self._state(self.t)
         return StepOutcome(

@@ -178,11 +178,9 @@ def _parse_point(s: str) -> tuple:
     return tuple(float(x) for x in s.split(","))
 
 
-_INT_KEYS = {"L", "N", "M", "T", "episodes", "batch_size", "buffer_capacity",
-             "hidden_units", "hidden_layers", "n_x", "sensing_slots"}
-_FLOAT_KEYS = {"p0_dbm", "noise_dbm", "r0", "kappa_db", "lr", "gamma",
-               "soft_rate", "rician_db", "freq_ghz", "sensing_tau"}
-_STR_KEYS = {"protocol", "algorithm", "baseline"}
+# scalar field -> the type of its default, which parses its value
+_SCALAR_KEYS = {f.name: type(f.default) for f in fields(ScenarioConfig)
+                if type(f.default) in (int, float, str)}
 _GEOM_KEYS = {"geometry.bs", "geometry.ris", "geometry.lus", "geometry.eve",
               "geometry.st"}
 
@@ -199,12 +197,8 @@ def parse_config(text: str, **overrides) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
+        if key in _SCALAR_KEYS:
+            kwargs[key] = _SCALAR_KEYS[key](value)
         elif key == "seeds":
             kwargs["seeds"] = tuple(int(s) for s in value.split(","))
         elif key in _GEOM_KEYS:

@@ -106,9 +106,10 @@ def rate(sinr):
     return np.log2(1.0 + sinr)
 
 
-def secrecy_rate(r_lu: float, r_eve: float, r_st: float) -> float:
-    """Hinge secrecy rate against both interceptors."""
-    return max(r_lu - r_eve, 0.0) + max(r_lu - r_st, 0.0)
+def secrecy_rate(r_lu, r_eve, r_st):
+    """Hinge secrecy rate against both interceptors, elementwise over
+    users."""
+    return np.maximum(r_lu - r_eve, 0.0) + np.maximum(r_lu - r_st, 0.0)
 
 
 # ---------------------------------------------------------------------------

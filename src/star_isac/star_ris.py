@@ -1,21 +1,25 @@
-"""STAR-RIS configurations for the energy-splitting (ES) and
-time-switching (TS) protocols.
+"""Surface decoders: from an agent's raw surface action to the list of
+(weight, Phi_A, Phi_B) periods that ``physics.evaluate`` scores.
 
-ES amplitudes and phases are coupled per element: the squared transmit
-and reflect amplitudes sum to one and the phase difference is an odd
-multiple of pi/2. Both couplings are enforced by construction (cos/sin
-parameterization plus a signed quarter-turn offset), so every config
-reachable from an agent action is feasible.
+``SURFACES`` maps every supported (variant, protocol) pair to its
+decoder and its raw action length a*N + b. Each decoder maps a raw slice
+in [-1, 1] onto a feasible surface by construction:
+
+- star/es, energy splitting: per element the squared transmit and
+  reflect amplitudes sum to one (sin/cos of theta) and the phases differ
+  by a signed quarter turn;
+- star/ts, time switching: unit-modulus faces and a time split, see
+  ``ts_periods``;
+- spliced/es: two reflect-only halves facing opposite sides;
+- conventional/es: a reflect-only surface; users on the transmission
+  side are reached via the direct BS links only.
+
+``es_coefficients`` and ``ts_periods`` build the STAR surfaces from
+physical parameters, for the decoders and for direct use alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class StarRisError(ValueError):
-    pass
 
 
 def wrap_pi(phi: np.ndarray) -> np.ndarray:
@@ -24,119 +28,82 @@ def wrap_pi(phi: np.ndarray) -> np.ndarray:
     return np.where(out == -np.pi, np.pi, out)
 
 
-@dataclass(frozen=True)
-class StarRisEsConfig:
-    theta: np.ndarray      # in [0, pi/2]; alpha_A = cos, alpha_B = sin
-    phi_b: np.ndarray      # in (-pi, pi]
-    sign: np.ndarray       # +-1; phi_a = phi_b + sign*pi/2
+def es_power_split(theta: np.ndarray):
+    """(alpha_A^2, alpha_B^2) = (cos^2 theta, sin^2 theta).
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, float)
-        phi_b = np.asarray(self.phi_b, float)
-        sign = np.asarray(self.sign, float)
-        if not (theta.shape == phi_b.shape == sign.shape):
-            raise StarRisError("field shapes differ")
-        if np.any((theta < 0) | (theta > np.pi / 2)):
-            raise StarRisError("theta out of [0, pi/2]")
-        if not np.all(np.isin(sign, (-1.0, 1.0))):
-            raise StarRisError("sign entries must be +-1")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi_b", wrap_pi(phi_b))
-        object.__setattr__(self, "sign", sign)
-
-    @property
-    def alpha_a_sq(self) -> np.ndarray:
-        # the double complement makes alpha_a_sq + alpha_b_sq == 1.0 hold
-        # exactly in floating point (one side always lands in the
-        # Sterbenz-exact subtraction region)
-        return 1.0 - self.alpha_b_sq
-
-    @property
-    def alpha_b_sq(self) -> np.ndarray:
-        return 1.0 - (1.0 - np.sin(self.theta) ** 2)
-
-    @property
-    def alpha_a(self) -> np.ndarray:
-        return np.sqrt(self.alpha_a_sq)
-
-    @property
-    def alpha_b(self) -> np.ndarray:
-        return np.sqrt(self.alpha_b_sq)
-
-    @property
-    def phi_a(self) -> np.ndarray:
-        return wrap_pi(self.phi_b + self.sign * np.pi / 2.0)
+    The double complement makes the two sum to 1.0 exactly in floating
+    point (one side always lands in the Sterbenz-exact subtraction
+    region).
+    """
+    b_sq = 1.0 - (1.0 - np.sin(theta) ** 2)
+    return 1.0 - b_sq, b_sq
 
 
-@dataclass(frozen=True)
-class StarRisTsConfig:
-    pi_1: float            # reflection time fraction; pi_2 = 1 - pi_1
-    phi_a: np.ndarray      # in [0, 2*pi)
-    phi_b: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.pi_1 <= 1.0:
-            raise StarRisError("pi_1 out of [0, 1]")
-        phi_a = np.mod(np.asarray(self.phi_a, float), 2.0 * np.pi)
-        phi_b = np.mod(np.asarray(self.phi_b, float), 2.0 * np.pi)
-        if phi_a.shape != phi_b.shape:
-            raise StarRisError("phase shapes differ")
-        object.__setattr__(self, "phi_a", phi_a)
-        object.__setattr__(self, "phi_b", phi_b)
-
-    @property
-    def pi_2(self) -> float:
-        return 1.0 - self.pi_1
+def es_coefficients(theta: np.ndarray, phi_b: np.ndarray, sign: np.ndarray):
+    """ES per-element coefficients (Phi_A, Phi_B), |A|^2 + |B|^2 = 1:
+    theta in [0, pi/2] splits the energy, and phi_A = phi_B + sign*pi/2
+    with sign = +-1."""
+    phi_b = wrap_pi(phi_b)
+    a_sq, b_sq = es_power_split(theta)
+    return (np.sqrt(a_sq) * np.exp(1j * wrap_pi(phi_b + sign * np.pi / 2.0)),
+            np.sqrt(b_sq) * np.exp(1j * phi_b))
 
 
-def es_coefficients(cfg: StarRisEsConfig):
-    """Per-element coefficients (Phi_A, Phi_B); |A|^2 + |B|^2 = 1."""
-    return (cfg.alpha_a * np.exp(1j * cfg.phi_a),
-            cfg.alpha_b * np.exp(1j * cfg.phi_b))
-
-
-def ts_coefficients(cfg: StarRisTsConfig):
-    """Unit-modulus per-element coefficients (Phi_A^TS, Phi_B^TS)."""
-    return np.exp(1j * cfg.phi_a), np.exp(1j * cfg.phi_b)
-
-
-def ts_periods(cfg: StarRisTsConfig) -> list:
-    """The TS protocol as (weight, Phi_A, Phi_B) periods.
+def ts_periods(pi_1: float, phi_a: np.ndarray, phi_b: np.ndarray) -> list:
+    """The TS protocol as (weight, Phi_A, Phi_B) periods, pi_1 in [0, 1].
 
     Convention: the surface is dark for pi_1, where every receiver sees
-    only its direct link, and serves both sides for pi_2, the users and
-    Eve through Phi_B^TS and the sensing target through Phi_A^TS. In the
-    TS protocol of Mu et al. (IEEE TWC 2022) the elements instead reflect
-    in one period and transmit in the other, so the target would see
-    Phi_A^TS while the users see only their direct links; this model has
-    not been checked against that reading.
+    only its direct link, and serves both sides for pi_2 = 1 - pi_1, the
+    users and Eve through Phi_B^TS = exp(j phi_b) and the sensing target
+    through Phi_A^TS = exp(j phi_a). In the TS protocol of Mu et al.
+    (IEEE TWC 2022) the elements instead reflect in one period and
+    transmit in the other, so the target would see Phi_A^TS while the
+    users see only their direct links; this model has not been checked
+    against that reading.
     """
-    dark = np.zeros(cfg.phi_a.size)
-    return [(cfg.pi_1, dark, dark), (cfg.pi_2, *ts_coefficients(cfg))]
+    dark = np.zeros(np.size(phi_a))
+    return [(pi_1, dark, dark),
+            (1.0 - pi_1, np.exp(1j * np.mod(phi_a, 2.0 * np.pi)),
+             np.exp(1j * np.mod(phi_b, 2.0 * np.pi)))]
 
 
-def project_raw_action_es(raw: np.ndarray) -> StarRisEsConfig:
-    """Map a raw [-1,1]^(3N) agent action onto the coupled ES manifold."""
-    raw = np.asarray(raw, float)
-    if raw.ndim != 1 or raw.size % 3 != 0:
-        raise StarRisError("ES raw action must have length 3N")
+# ---- decoders: raw slice in [-1, 1] -> periods --------------------------
+
+def _star_es(raw: np.ndarray) -> list:
     n = raw.size // 3
-    theta = (np.clip(raw[:n], -1, 1) + 1.0) * np.pi / 4.0
-    phi_b = np.clip(raw[n:2 * n], -1, 1) * np.pi
-    sign = np.where(raw[2 * n:] >= 0.0, 1.0, -1.0)
-    return StarRisEsConfig(theta=theta, phi_b=phi_b, sign=sign)
+    return [(1.0, *es_coefficients((raw[:n] + 1.0) * np.pi / 4.0,
+                                   raw[n:2 * n] * np.pi,
+                                   np.where(raw[2 * n:] >= 0.0, 1.0, -1.0)))]
 
 
-def project_raw_action_ts(raw: np.ndarray) -> StarRisTsConfig:
-    """Map a raw [-1,1]^(2N+1) agent action onto a TS config."""
-    raw = np.asarray(raw, float)
-    if raw.ndim != 1 or raw.size < 3 or (raw.size - 1) % 2 != 0:
-        raise StarRisError("TS raw action must have length 2N+1")
+def _star_ts(raw: np.ndarray) -> list:
     n = (raw.size - 1) // 2
-    pi_1 = (np.clip(raw[0], -1, 1) + 1.0) / 2.0
-    phi_a = (np.clip(raw[1:n + 1], -1, 1) + 1.0) * np.pi
-    phi_b = (np.clip(raw[n + 1:], -1, 1) + 1.0) * np.pi
-    # 2*pi maps back to 0; keep phases in [0, 2*pi)
-    return StarRisTsConfig(pi_1=float(pi_1),
-                           phi_a=np.mod(phi_a, 2.0 * np.pi),
-                           phi_b=np.mod(phi_b, 2.0 * np.pi))
+    return ts_periods(float((raw[0] + 1.0) / 2.0), (raw[1:n + 1] + 1.0) * np.pi,
+                      (raw[n + 1:] + 1.0) * np.pi)
+
+
+def _spliced(raw: np.ndarray) -> list:
+    half = raw.size // 2
+    phases = raw * np.pi
+    amp_a = np.concatenate([np.ones(half), np.zeros(raw.size - half)])
+    return [(1.0, amp_a * np.exp(1j * phases),
+             (1.0 - amp_a) * np.exp(1j * phases))]
+
+
+def _conventional(raw: np.ndarray) -> list:
+    return [(1.0, np.exp(1j * raw * np.pi), np.zeros(raw.size))]
+
+
+# (variant, protocol) -> (decoder, a, b): the raw slice has length a*N + b
+SURFACES = {
+    ("star", "es"): (_star_es, 3, 0),
+    ("star", "ts"): (_star_ts, 2, 1),
+    ("spliced", "es"): (_spliced, 1, 0),
+    ("conventional", "es"): (_conventional, 1, 0),
+}
+
+
+def decode(variant: str, protocol: str, raw: np.ndarray) -> list:
+    """Periods of a (variant, protocol) surface for a raw slice in
+    [-1, 1] of length a*N + b."""
+    return SURFACES[variant, protocol][0](raw)

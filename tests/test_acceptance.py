@@ -19,9 +19,7 @@ from star_isac.experiments import (ScenarioConfig, measure_runtime,
                                    run_scenario)
 from star_isac.physics import SensingParams, TransmitDesign
 from star_isac.sac import SacAgent
-from star_isac.star_ris import (StarRisTsConfig, project_raw_action_es,
-                                project_raw_action_ts, ts_coefficients,
-                                ts_periods)
+from star_isac.star_ris import decode, es_power_split, ts_periods
 
 import train_cache
 from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
@@ -109,16 +107,18 @@ def test_criterion_02_coupling_invariants():
     rng = np.random.default_rng(102)
     worst_sum, worst_cos = 0.0, 0.0
     for _ in range(10_000):
-        cfg = project_raw_action_es(rng.uniform(-1, 1, 3 * 8))
-        worst_sum = max(worst_sum, float(np.max(np.abs(
-            cfg.alpha_a_sq + cfg.alpha_b_sq - 1.0))))
+        raw = rng.uniform(-1, 1, 3 * 8)
+        a_sq, b_sq = es_power_split((raw[:8] + 1.0) * np.pi / 4.0)
+        worst_sum = max(worst_sum, float(np.max(np.abs(a_sq + b_sq - 1.0))))
+        [(_, pa, pb)] = decode("star", "es", raw)
+        # cos(phi_A - phi_B), read off the coefficients
         worst_cos = max(worst_cos, float(np.max(np.abs(
-            np.cos(cfg.phi_a - cfg.phi_b)))))
+            np.real(pa * pb.conj()) / (np.abs(pa) * np.abs(pb))))))
     worst_pi, worst_mod = 0.0, 0.0
     for _ in range(10_000):
-        cfg = project_raw_action_ts(rng.uniform(-1, 1, 2 * 8 + 1))
-        worst_pi = max(worst_pi, abs(cfg.pi_1 + cfg.pi_2 - 1.0))
-        pa, pb = ts_coefficients(cfg)
+        (pi_1, _, _), (pi_2, pa, pb) = decode(
+            "star", "ts", rng.uniform(-1, 1, 2 * 8 + 1))
+        worst_pi = max(worst_pi, abs(pi_1 + pi_2 - 1.0))
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(pa) - 1.0))),
                         float(np.max(np.abs(np.abs(pb) - 1.0))))
     ok = (worst_sum == 0.0 and worst_cos < 1e-12
@@ -153,10 +153,9 @@ def test_criterion_03_filter_optimality():
     for _ in range(20):
         rng2 = np.random.default_rng(int(rng.integers(1 << 31)))
         inst, ch, design, L, N, M = _instance(rng2)
-        cfg = StarRisTsConfig(float(rng2.uniform()),
-                              rng2.uniform(0, 2 * np.pi, N),
-                              rng2.uniform(0, 2 * np.pi, N))
-        periods = ts_periods(cfg)
+        periods = ts_periods(float(rng2.uniform()),
+                             rng2.uniform(0, 2 * np.pi, N),
+                             rng2.uniform(0, 2 * np.pi, N))
         best = physics.evaluate(ch, periods, design, 1.0, sensing)[3]
         targets = [(w, _channels(ch, pa, pb)[-1].conj())
                    for w, pa, pb in periods]

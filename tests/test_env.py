@@ -51,6 +51,17 @@ class TestDimensions:
         with pytest.raises(Exception):
             make_env(protocol="ts", baseline="spliced")
 
+    def test_unsupported_surface_rejected(self):
+        env = make_env()
+        for mode, variant in (("ts", "spliced"), ("ts", "conventional"),
+                              ("xx", "star"), ("es", "flat")):
+            with pytest.raises(EnvError, match="unsupported surface"):
+                SecureIsacEnv(
+                    geometry=env.geometry, fading=env.fading,
+                    sensing=env.sensing, L=3, N=4,
+                    noise_power=env.noise_power, p_max=env.p_max,
+                    r_min=env.r_min, T=5, mode=mode, variant=variant)
+
     def test_spliced_needs_even_n(self):
         cfg = small_cfg(N=6, n_x=3)
         env = build_baseline(cfg, seed=0)  # even N fine

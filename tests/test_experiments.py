@@ -1,15 +1,15 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from star_isac.cli import main as cli_main
-from star_isac.experiments import (FINAL_WINDOW, ConfigError, ScenarioConfig,
-                                   episode_returns, episode_secrecy,
-                                   parse_config, run_scenario, run_seed,
-                                   seed_summary, sweep)
+from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW, ConfigError,
+                                   ScenarioConfig, episode_returns,
+                                   episode_secrecy, parse_config, run_scenario,
+                                   run_seed, seed_summary, sweep)
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -134,10 +134,28 @@ class TestRunScenario:
         assert summary["final_return_mean"] == pytest.approx(np.mean(finals))
 
     def test_config_echo_roundtrips(self, tmp_path):
-        cfg = tiny_cfg(algorithm="ddpg", p0_dbm=30.0)
-        run_scenario(cfg, tmp_path)
-        echoed = parse_config((tmp_path / "config.echo").read_text())
-        assert echoed == cfg
+        # every scalar field off its default; protocol "ts" rules out the
+        # non-star baselines, so a second config varies the baseline
+        every = dict(
+            L=3, N=4, M=1, protocol="ts", algorithm="ddpg", p0_dbm=30.0,
+            noise_dbm=-80.0, r0=0.5, kappa_db=2.0, T=3, episodes=1,
+            seeds=(3,), lr=3e-4, gamma=0.9, batch_size=4, buffer_capacity=64,
+            soft_rate=0.01, hidden_units=8, hidden_layers=1, rician_db=5.0,
+            freq_ghz=3.5, n_x=2, sensing_slots=10, sensing_tau=2.0e4,
+            geometry={**DEFAULT_GEOMETRY, "lus": ((150.6, 150.8, 1.5),)})
+        cfgs = [tiny_cfg(algorithm="ddpg", p0_dbm=30.0),
+                ScenarioConfig(**every),
+                ScenarioConfig(**{**every, "protocol": "es",
+                                  "baseline": "conventional"})]
+        scalars = [f for f in fields(ScenarioConfig)
+                   if isinstance(f.default, (int, float, str))]
+        assert all(any(getattr(c, f.name) != f.default for c in cfgs[1:])
+                   for f in scalars)
+        for i, cfg in enumerate(cfgs):
+            run_scenario(cfg, tmp_path / str(i))
+            echoed = parse_config(
+                (tmp_path / str(i) / "config.echo").read_text())
+            assert echoed == cfg
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_cfg()

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from star_isac.channel import ChannelRealization
 from star_isac.physics import (SensingParams, TransmitDesign,
                                echo_snr_lower_bound, effective_channels,
                                evaluate, optimal_filter, rate, secrecy_rate)
-from star_isac.star_ris import StarRisTsConfig, ts_periods
+from star_isac.star_ris import ts_periods
 
 from oracles import (naive_effective_channel, naive_sinr, random_instance)
 
@@ -24,8 +26,19 @@ def make_design(inst):
     return TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
 
 
+class TsParams(NamedTuple):
+    """The arguments of ``ts_periods``."""
+    pi_1: float
+    phi_a: np.ndarray
+    phi_b: np.ndarray
+
+    @property
+    def pi_2(self) -> float:
+        return 1.0 - self.pi_1
+
+
 def random_ts_cfg(rng, N, pi_1=None):
-    return StarRisTsConfig(
+    return TsParams(
         pi_1=float(rng.uniform()) if pi_1 is None else pi_1,
         phi_a=rng.uniform(0, 2 * np.pi, N),
         phi_b=rng.uniform(0, 2 * np.pi, N))
@@ -33,17 +46,17 @@ def random_ts_cfg(rng, N, pi_1=None):
 
 def ts_rates(ch, cfg, design, sigma2):
     """(LU, Eve, target) rates per user over the two TS periods."""
-    return evaluate(ch, ts_periods(cfg), design, sigma2, SENSING)[:3]
+    return evaluate(ch, ts_periods(*cfg), design, sigma2, SENSING)[:3]
 
 
 def ts_echo(ch, cfg, design, sensing):
-    return evaluate(ch, ts_periods(cfg), design, 1.0, sensing)[3]
+    return evaluate(ch, ts_periods(*cfg), design, 1.0, sensing)[3]
 
 
 def sensing_channels(ch, cfg):
     """The target's channel in each TS period."""
     return [effective_channels(ch.D, ch.R, ch.H, phi_a, phi_b)[-1].conj()
-            for _, phi_a, phi_b in ts_periods(cfg)]
+            for _, phi_a, phi_b in ts_periods(*cfg)]
 
 
 class TestTsRates:
@@ -68,7 +81,7 @@ class TestTsRates:
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
         ch, design = make_channel(inst), make_design(inst)
-        cfg = StarRisTsConfig(pi_1=0.0, phi_a=np.zeros(6), phi_b=np.zeros(6))
+        cfg = TsParams(pi_1=0.0, phi_a=np.zeros(6), phi_b=np.zeros(6))
         r_lu, _, _ = ts_rates(ch, cfg, design, 1.0)
         unit = np.ones(6, complex)
         es_equiv, _, _, _ = evaluate(ch, [(1.0, unit, unit)], design, 1.0,
@@ -81,9 +94,9 @@ class TestTsRates:
         ch, design = make_channel(inst), make_design(inst)
         phi_a = rng.uniform(0, 2 * np.pi, 6)
         phi_b = rng.uniform(0, 2 * np.pi, 6)
-        r0 = ts_rates(ch, StarRisTsConfig(0.0, phi_a, phi_b), design, 1.0)
-        r1 = ts_rates(ch, StarRisTsConfig(1.0, phi_a, phi_b), design, 1.0)
-        rhalf = ts_rates(ch, StarRisTsConfig(0.5, phi_a, phi_b), design, 1.0)
+        r0 = ts_rates(ch, TsParams(0.0, phi_a, phi_b), design, 1.0)
+        r1 = ts_rates(ch, TsParams(1.0, phi_a, phi_b), design, 1.0)
+        rhalf = ts_rates(ch, TsParams(0.5, phi_a, phi_b), design, 1.0)
         for a, b, c in zip(r0, r1, rhalf):
             assert c == pytest.approx(0.5 * a + 0.5 * b, rel=1e-12)
 
@@ -141,7 +154,7 @@ class TestSecrecyTs:
         inst["g_rs"] = inst["h_rm"][0].copy()
         ch, design = make_channel(inst), make_design(inst)
         phases = np.zeros(6)
-        cfg = StarRisTsConfig(0.4, phases, phases)
+        cfg = TsParams(0.4, phases, phases)
         lu, eve, st = ts_rates(ch, cfg, design, 1.0)
         assert secrecy_rate(lu[0], eve[0], st[0]) == 0.0
 
