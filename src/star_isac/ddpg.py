@@ -83,14 +83,17 @@ class DdpgAgent:
         q, c_cache = self.critic.forward(x)
         d = q.shape[0]
         objective = float(np.mean(q))
-        _, dx = self.critic.backward(c_cache, np.full((d, 1), 1.0 / d))
+        _, dx = self.critic.through().backward(c_cache,
+                                               np.full((d, 1), 1.0 / d))
         da = dx[:, self.state_dim:]
         grads, _ = self.actor.backward(a_cache, da)
         return objective, grads
 
     def actor_update(self, batch) -> float:
         objective, grads = self.actor_objective_and_grads(batch)
-        self.actor_opt.step(self.actor.params, [-g for g in grads])
+        for g in grads:
+            np.negative(g, out=g)
+        self.actor_opt.step(self.actor.params, grads)
         return objective
 
     def update_targets(self) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ddpg, sac
+from . import ddpg, sac, star_ris
 from .channel import FadingParams, SystemGeometry, db_to_linear, dbm_to_watt
 from .env import SecureIsacEnv
 from .physics import SensingParams
@@ -86,14 +86,13 @@ class ScenarioConfig:
         if self.buffer_capacity < 10 * self.batch_size:
             raise ConfigError("buffer_capacity must hold the 10 batches "
                               "that updates wait for (10 * batch_size)")
-        if self.protocol not in ("es", "ts"):
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.algorithm not in ("ddpg", "sac"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.baseline not in ("star", "spliced", "conventional"):
-            raise ConfigError(f"unknown baseline {self.baseline!r}")
-        if self.baseline != "star" and self.protocol != "es":
-            raise ConfigError(f"baseline {self.baseline!r} is ES-only")
+        if (self.baseline, self.protocol) not in star_ris.SURFACES:
+            supported = ", ".join(f"{b}/{p}" for b, p in star_ris.SURFACES)
+            raise ConfigError(f"baseline {self.baseline!r} with protocol "
+                              f"{self.protocol!r}: supported baseline/"
+                              f"protocol pairs are {supported}")
         if self.baseline == "spliced" and self.N % 2:
             raise ConfigError("baseline 'spliced' needs an even N")
         if not self.seeds:
@@ -248,8 +247,11 @@ def build_baseline(cfg: ScenarioConfig, seed: int) -> SecureIsacEnv:
 
 def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):
     hidden = tuple([cfg.hidden_units] * cfg.hidden_layers)
+    # a run stores episodes*T transitions and sampling reads only the
+    # count, so a larger buffer changes nothing but the memory it takes
+    capacity = min(cfg.buffer_capacity, cfg.episodes * cfg.T)
     common = dict(hidden=hidden, lr=cfg.lr, gamma=cfg.gamma,
-                  soft_rate=cfg.soft_rate, buffer_capacity=cfg.buffer_capacity,
+                  soft_rate=cfg.soft_rate, buffer_capacity=capacity,
                   batch_size=cfg.batch_size, seed=seed)
     if cfg.algorithm == "ddpg":
         horizon = max(int(0.8 * cfg.episodes * cfg.T), 1)

@@ -1,10 +1,22 @@
 """Shared learning substrate: explicit-backprop MLPs, a ring replay
 buffer, a bias-corrected moment-adaptive updater, and soft target
 updates. Everything is float64 numpy so gradient oracles stay tight.
+
+Each net keeps its parameters in one contiguous vector. The updater and
+the soft update stream through such vectors CHUNK elements at a time,
+with one small scratch shared by all of them, so an update allocates no
+parameter-sized temporaries.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# elements per slice of the flat vectors that Adam and soft_update walk
+# through; two scratch rows of 256 KiB stay in a core's L2 cache
+CHUNK = 32768
+# every use writes a scratch slice before reading it, so it carries
+# nothing between calls; it is not for concurrent use by threads
+_SCRATCH = np.empty((2, CHUNK))
 
 
 class RlError(ValueError):
@@ -21,23 +33,50 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     raise RlError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_backward(name: str, delta, z, a, owned: bool) -> np.ndarray:
+    """delta times the activation's derivative; in place when the caller
+    owns delta."""
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return np.multiply(delta, z > 0.0, out=delta if owned else None)
     if name == "tanh":
-        return 1.0 - a * a
+        return delta * (1.0 - a * a)
     if name == "linear":
-        return np.ones_like(z)
+        return delta
     raise RlError(f"unknown activation {name!r}")
+
+
+def _layer_views(sizes, vec: np.ndarray):
+    """(weights, biases) of a net with these layer sizes, as views into
+    vec, laid out w0, b0, w1, b1, ..."""
+    weights, biases, i = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(vec[i:i + fan_in * fan_out].reshape(fan_in, fan_out))
+        i += fan_in * fan_out
+        biases.append(vec[i:i + fan_out])
+        i += fan_out
+    return weights, biases
+
+
+def _flat_chunks(*arrays):
+    """Aligned CHUNK-long slices of equally long contiguous arrays, each
+    with the matching slices of the two scratch rows."""
+    flat = [np.reshape(a, -1, copy=False) for a in arrays]
+    for lo in range(0, flat[0].size, CHUNK):
+        parts = [a[lo:lo + CHUNK] for a in flat]
+        n = parts[0].size
+        yield (*parts, _SCRATCH[0, :n], _SCRATCH[1, :n])
 
 
 class Mlp:
     """Fully-connected net with ReLU hidden layers.
 
-    Parameters live in self.weights / self.biases; forward returns a
-    cache that backward consumes to produce parameter gradients and the
-    gradient with respect to the input (needed when a critic is
-    differentiated through its action input).
+    Parameters live in one contiguous vector, ``flat``; ``weights`` and
+    ``biases`` are views into it. forward returns a cache that backward
+    consumes to produce parameter gradients, written into one vector of
+    the same layout that the net allocates on its first backward pass.
+    The view that through() returns shares the parameters, and its
+    backward gives only the gradient with respect to the input (needed
+    when an objective is differentiated through a critic's action input).
     """
 
     def __init__(self, sizes, output_activation="linear", rng=None):
@@ -46,27 +85,42 @@ class Mlp:
         rng = rng or np.random.default_rng()
         self.sizes = list(sizes)
         self.activations = ["relu"] * (len(sizes) - 2) + [output_activation]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        self._bind(np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                in zip(sizes[:-1], sizes[1:]))))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _bind(self, flat: np.ndarray, input_grad_only: bool = False) -> None:
+        self.flat = flat
+        self.weights, self.biases = _layer_views(self.sizes, flat)
+        self.grad = None
+        self._input_grad_only = input_grad_only
+        self._through = self if input_grad_only else None
 
     @property
     def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        """The arrays an optimizer steps: the one flat vector."""
+        return [self.flat]
 
-    def copy(self) -> "Mlp":
+    def _over(self, flat: np.ndarray, input_grad_only: bool = False):
+        """A net of this shape whose parameters are the vector flat."""
         other = Mlp.__new__(Mlp)
         other.sizes = list(self.sizes)
         other.activations = list(self.activations)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other._bind(flat, input_grad_only)
         return other
+
+    def copy(self) -> "Mlp":
+        return self._over(self.flat.copy())
+
+    def through(self) -> "Mlp":
+        """A view that shares this net's parameters and whose backward
+        returns only the input gradient; made once, then reused."""
+        if self._through is None:
+            self._through = self._over(self.flat, input_grad_only=True)
+        return self._through
 
     def forward(self, x: np.ndarray):
         """Returns (y, cache) for a (B, d_in) batch."""
@@ -77,7 +131,8 @@ class Mlp:
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
             inputs.append(a)
-            z = a @ w + b
+            z = a @ w
+            z += b
             a = _act(act, z)
             pre.append(z)
             post.append(a)
@@ -89,39 +144,44 @@ class Mlp:
     def backward(self, cache, dy: np.ndarray):
         """Backprop dy = dL/dy through the cached forward pass.
 
-        Returns (grads, dx) with grads ordered as self.params.
+        Returns (grads, None) with grads ordered as self.params: the
+        net's gradient buffer, which the next backward overwrites; the
+        input gradient is not computed. On the view from through(),
+        returns (None, dL/dx) and computes no parameter gradients.
         """
         if cache is None:
             raise RlError("forward cache required")
         inputs, pre, post = cache
         delta = np.atleast_2d(np.asarray(dy, float))
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        params_too = not self._input_grad_only
+        if params_too and self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            self._grad_w, self._grad_b = _layer_views(self.sizes, self.grad)
+        last = len(self.weights) - 1
         for i in reversed(range(len(self.weights))):
-            delta = delta * _act_grad(self.activations[i], pre[i], post[i])
-            grads_w[i] = inputs[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            delta = _act_backward(self.activations[i], delta, pre[i], post[i],
+                                  owned=i < last)
+            if params_too:
+                np.matmul(inputs[i].T, delta, out=self._grad_w[i])
+                np.sum(delta, axis=0, out=self._grad_b[i])
+                if i == 0:
+                    return [self.grad], None
             delta = delta @ self.weights[i].T
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend([gw, gb])
-        return grads, delta
+        return None, delta
 
-    # flat views, used by gradient oracles and checkpoints
+    # flat copies, used by gradient oracles and the cache key
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        if flat.size != sum(p.size for p in self.params):
+        if flat.size != self.flat.size:
             raise RlError("flat vector size mismatch")
-        i = 0
-        for p in self.params:
-            p[...] = flat[i:i + p.size].reshape(p.shape)
-            i += p.size
+        self.flat[...] = flat
 
 
 class Adam:
-    """Bias-corrected first/second-moment updater over a parameter list."""
+    """Bias-corrected first/second-moment updater over a list of
+    contiguous parameter arrays."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -139,12 +199,24 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for arrays in zip(params, grads, self.m, self.v):
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+            # p -= lr*(m/c1) / (sqrt(v/c2) + eps), one chunk at a time
+            for p, g, m, v, s, u in _flat_chunks(*arrays):
+                m *= b1
+                np.multiply(g, 1 - b1, out=s)
+                m += s
+                v *= b2
+                np.multiply(g, 1 - b2, out=s)
+                s *= g
+                v += s
+                np.divide(v, c2, out=s)
+                np.sqrt(s, out=s)
+                s += self.eps
+                np.divide(m, c1, out=u)
+                u *= self.lr
+                u /= s
+                p -= u
 
 
 class RewardScale:
@@ -181,9 +253,10 @@ def soft_update(target: Mlp, online: Mlp, eps: float) -> None:
     """target := eps*online + (1-eps)*target, elementwise."""
     if not 0.0 <= eps <= 1.0:
         raise RlError("soft-update rate must be in [0, 1]")
-    for tp, op in zip(target.params, online.params):
+    for tp, op, s, _ in _flat_chunks(target.flat, online.flat):
         tp *= 1.0 - eps
-        tp += eps * op
+        np.multiply(op, eps, out=s)
+        tp += s
 
 
 class ReplayBuffer:

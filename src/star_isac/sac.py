@@ -166,8 +166,8 @@ class SacAgent:
 
         # dQmin/da via whichever critic attains the min, per sample
         pick1 = (q1 <= q2).astype(float)[:, None]
-        _, dx1 = self.critic1.backward(c1, pick1)
-        _, dx2 = self.critic2.backward(c2, 1.0 - pick1)
+        _, dx1 = self.critic1.through().backward(c1, pick1)
+        _, dx2 = self.critic2.through().backward(c2, 1.0 - pick1)
         dq_da = (dx1 + dx2)[:, self.state_dim:]
 
         t = np.tanh(u)

@@ -7,9 +7,10 @@ import pytest
 
 from star_isac.cli import main as cli_main
 from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW, ConfigError,
-                                   ScenarioConfig, episode_returns,
-                                   episode_secrecy, parse_config, run_scenario,
-                                   run_seed, seed_summary, sweep)
+                                   ScenarioConfig, build_agent, build_baseline,
+                                   episode_returns, episode_secrecy,
+                                   parse_config, run_scenario, run_seed,
+                                   seed_summary, sweep)
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -66,6 +67,13 @@ class TestConfig:
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             tiny_cfg(**bad)
+
+    @pytest.mark.parametrize("algorithm", ["ddpg", "sac"])
+    def test_default_agent_buffer_holds_one_run(self, algorithm):
+        # 300 episodes x 30 steps, not the configured 1,000,000
+        cfg = ScenarioConfig(algorithm=algorithm)
+        agent = build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
+        assert agent.buffer.capacity == 9_000
 
     def test_scenario_id_stable_and_sensitive(self):
         a, b = tiny_cfg(), tiny_cfg()

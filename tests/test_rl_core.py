@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from star_isac.rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, RlError,
-                               soft_update)
+from star_isac.rl_core import (CHUNK, Adam, Mlp, ReplayBuffer, RewardScale,
+                               RlError, soft_update)
 
 
 def flat_numeric_grad(net, x, loss_fn, h=1e-5):
@@ -57,7 +57,8 @@ class TestMlp:
             return float(np.sum(w * y))
 
         y, cache = net.forward(x)
-        grads, _ = net.backward(cache, w)
+        grads, dx = net.backward(cache, w)
+        assert dx is None
         analytic = np.concatenate([g.ravel() for g in grads])
         numeric = flat_numeric_grad(net, x, loss)
         denom = np.maximum(np.abs(numeric), 1e-8)
@@ -68,7 +69,8 @@ class TestMlp:
         net = Mlp([3, 8, 1], rng=rng)
         x = rng.standard_normal((1, 3))
         _, cache = net.forward(x)
-        _, dx = net.backward(cache, np.ones((1, 1)))
+        grads, dx = net.through().backward(cache, np.ones((1, 1)))
+        assert grads is None
         h = 1e-6
         for j in range(3):
             xp, xm = x.copy(), x.copy()
@@ -91,6 +93,53 @@ class TestMlp:
         dup = net.copy()
         dup.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+
+    def test_weights_and_biases_are_views_of_flat(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(13))
+        layout = np.concatenate([p.ravel() for wb in zip(net.weights,
+                                                         net.biases)
+                                 for p in wb])
+        assert np.array_equal(layout, net.flat)
+        new = np.arange(net.flat.size, dtype=float)
+        net.set_flat(new)
+        assert np.array_equal(net.weights[0], new[:12].reshape(3, 4))
+        assert np.array_equal(net.biases[1], new[-2:])
+        flat = net.get_flat()
+        flat[0] = -1.0
+        assert net.weights[0][0, 0] == 0.0
+
+    def test_copy_shares_no_memory(self):
+        rng = np.random.default_rng(14)
+        net = Mlp([3, 4, 2], rng=rng)
+        net.backward(net.forward(rng.standard_normal((2, 3)))[1],
+                     np.ones((2, 2)))
+        dup = net.copy()
+        assert dup.grad is None
+        for a in (dup.flat, *dup.weights, *dup.biases):
+            for b in (net.flat, net.grad):
+                assert not np.shares_memory(a, b)
+
+    def test_through_shares_parameters_not_gradients(self):
+        rng = np.random.default_rng(15)
+        net = Mlp([3, 4, 2], rng=rng)
+        view = net.through()
+        assert view is net.through() and view.through() is view
+        assert view.flat is net.flat
+        assert all(np.shares_memory(a, b) for a, b in
+                   zip(view.weights + view.biases, net.weights + net.biases))
+        _, cache = net.forward(rng.standard_normal((5, 3)))
+        dy = rng.standard_normal((5, 2))
+        grads, _ = net.backward(cache, dy)
+        before = grads[0].copy()
+        net.flat[0] += 1.0
+        assert view.weights[0][0, 0] == net.weights[0][0, 0]
+        view.backward(cache, 2.0 * dy)
+        assert view.grad is None
+        assert np.array_equal(net.grad, before)
+
+    def test_untrained_net_has_no_gradient_buffer(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(16))
+        assert net.grad is None and net.copy().grad is None
 
     def test_width_mismatch_rejected(self):
         net = Mlp([3, 2], rng=np.random.default_rng(8))
@@ -133,6 +182,30 @@ class TestAdam:
             ref -= 0.05 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         assert np.allclose(p, ref, atol=1e-12)
 
+    def test_chunked_step_matches_per_array_formula_bitwise(self):
+        # a vector longer than one chunk and not a multiple of it, next to
+        # a small array, against the update written out on whole arrays
+        rng = np.random.default_rng(17)
+        sizes = (2 * CHUNK + 123, 7)
+        params = [rng.standard_normal(n) for n in sizes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros(n) for n in sizes]
+        v = [np.zeros(n) for n in sizes]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(n) for n in sizes]
+            opt.step(params, grads)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * g * g
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p, r)
+
     def test_descends_quadratic(self):
         p = np.array([5.0])
         opt = Adam([p], lr=0.1)
@@ -157,6 +230,21 @@ class TestSoftUpdate:
         target = Mlp([2, 3, 1], rng=rng)
         soft_update(target, online, 1.0)
         assert np.array_equal(target.get_flat(), online.get_flat())
+
+    def test_chunked_blend_matches_per_array_formula_bitwise(self):
+        rng = np.random.default_rng(18)
+        sizes = [CHUNK + 5, 2, 1]  # flat length 2*CHUNK + 15
+        online = Mlp(sizes, rng=rng)
+        target = Mlp(sizes, rng=rng)
+        ref = [p.copy() for p in target.weights + target.biases]
+        for _ in range(3):
+            online.set_flat(rng.standard_normal(online.flat.size))
+            soft_update(target, online, 0.3)
+            for tp, op in zip(ref, online.weights + online.biases):
+                tp *= 1.0 - 0.3
+                tp += 0.3 * op
+            for got, want in zip(target.weights + target.biases, ref):
+                assert np.array_equal(got, want)
 
     def test_bad_rate_rejected(self):
         rng = np.random.default_rng(12)
