@@ -3,6 +3,12 @@
 All quantities are linear unless the name says dB. One master seed is
 split into independent per-link streams, so adding a link never perturbs
 the draws of another.
+
+Each episode draws every link stream once, for all T slots together.
+Within a stream the order is: per slot, per receiver, the link's real
+parts, then its imaginary parts. This is the order in which a per-slot
+loop would draw them, so a seed gives the same channels whichever way
+they are drawn.
 """
 from __future__ import annotations
 
@@ -98,34 +104,50 @@ class FadingParams:
 
 @dataclass
 class ChannelRealization:
-    """All complex channel coefficients for one timeslot, each link
-    stored once as unit-power fading times its path-loss amplitude.
+    """All complex channel coefficients for one timeslot: each link as
+    unit-power fading and as the scaled link, fading times its path-loss
+    amplitude.
 
     Receivers are stacked in the order users, Eve, sensing target: row k
     of D_fading is receiver k's direct BS link and row k of R_fading its
     RIS-side link. The fading feeds the observation vector so feature
-    scales stay O(1); the properties D, R and H are the scaled links.
+    scales stay O(1); H, D and R are the scaled links, which default to
+    the fading itself (unit amplitudes).
     """
 
     slot: int
     H_fading: np.ndarray          # N x L, BS -> RIS
     D_fading: np.ndarray          # (M+2) x L, BS -> receiver
     R_fading: np.ndarray          # (M+2) x N, RIS -> receiver
-    H_amp: float = 1.0
-    D_amp: np.ndarray = 1.0       # (M+2) x 1 column, or a scalar
-    R_amp: np.ndarray = 1.0
+    H: np.ndarray = None
+    D: np.ndarray = None
+    R: np.ndarray = None
 
-    @property
-    def H(self) -> np.ndarray:
-        return self.H_amp * self.H_fading
+    def __post_init__(self):
+        if self.H is None:
+            self.H = self.H_fading
+        if self.D is None:
+            self.D = self.D_fading
+        if self.R is None:
+            self.R = self.R_fading
 
-    @property
-    def D(self) -> np.ndarray:
-        return self.D_amp * self.D_fading
 
-    @property
-    def R(self) -> np.ndarray:
-        return self.R_amp * self.R_fading
+class EpisodeChannels(list):
+    """The T ChannelRealizations of one episode, in slot order.
+
+    Every slot's arrays are views into the episode's (T, ...) stacks.
+    The fading stacks are kept here too, as H_fading, D_fading and
+    R_fading, so per-episode work can read all slots at once.
+    """
+
+    def __init__(self, H_fading, D_fading, R_fading, H, D, R):
+        super().__init__(
+            ChannelRealization(t, H_fading[t], D_fading[t], R_fading[t],
+                               H[t], D[t], R[t])
+            for t in range(len(H_fading)))
+        self.H_fading = H_fading
+        self.D_fading = D_fading
+        self.R_fading = R_fading
 
 
 def path_loss_los(d: float, f1: float) -> float:
@@ -171,21 +193,27 @@ def steering_ris(N: int, beta_r: float, zeta_r: float, d_r: float,
     return np.exp(1j * 2.0 * np.pi * d_r * (row * eta1 + col * eta2) / lam)
 
 
-def _cn_samples(shape, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian, unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _cn_samples(lead: tuple, block: tuple,
+                rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian, unit variance, of
+    shape lead + block, from one draw: for each lead index, the block's
+    real parts, then its imaginary parts."""
+    x = rng.standard_normal((*lead, 2, *block))
+    at = (slice(None),) * len(lead)
+    return (x[at + (0,)] + 1j * x[at + (1,)]) / np.sqrt(2.0)
 
 
-def rician_channel(params: FadingParams, loss_db: float, N: int, L: int,
-                   beta_b: float, beta_r: float, zeta_r: float,
+def rician_channel(params: FadingParams, loss_db: float, T: int, N: int,
+                   L: int, beta_b: float, beta_r: float, zeta_r: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """N x L Rician matrix: rank-1 LoS outer product plus i.i.d. NLoS,
-    scaled by the linear amplitude of the loss."""
+    """T x N x L stack of Rician matrices, one per slot: the rank-1 LoS
+    outer product, formed once, plus i.i.d. NLoS, scaled by the linear
+    amplitude of the loss."""
     F = params.rician_factor
     f_r = steering_ris(N, beta_r, zeta_r, params.d_r, params.wavelength, params.n_x)
     f_b = steering_bs(L, beta_b, params.d_0, params.wavelength)
     los = np.outer(f_r, f_b)
-    nlos = _cn_samples((N, L), rng)
+    nlos = _cn_samples((T,), (N, L), rng)
     mix = np.sqrt(F / (F + 1.0)) * los + np.sqrt(1.0 / (F + 1.0)) * nlos
     return loss_db_to_amplitude(loss_db) * mix
 
@@ -230,12 +258,13 @@ def link_loss_table(geometry: SystemGeometry, params: FadingParams) -> dict:
 
 
 def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
-                              L: int, N: int, T: int, seed) -> list:
+                              L: int, N: int, T: int, seed) -> EpisodeChannels:
     """One independent ChannelRealization per slot.
 
     BS->RIS is Rician; all other links are NLoS-only Rayleigh with their
     own path loss. Channel draws per link come from independent child
-    streams of the given seed.
+    streams of the given seed, one draw per stream for the whole episode
+    (see the module docstring for the order).
     """
     if T < 1:
         raise ChannelError("T must be >= 1")
@@ -255,19 +284,16 @@ def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
     D_amp = column(*losses["bs_lu"], losses["bs_eve"], losses["bs_st"])
     R_amp = column(*losses["ris_lu"], losses["ris_eve"], losses["ris_st"])
 
-    out = []
-    for t in range(T):
-        H = rician_channel(
-            params, 0.0, N, L, beta_b, beta_r, zeta_r, streams["bs_ris"])
-        d_lu = [_cn_samples(L, streams["bs_lu"]) for _ in range(M)]
-        r_lu = [_cn_samples(N, streams["ris_lu"]) for _ in range(M)]
-        d_eve = _cn_samples(L, streams["bs_eve"])
-        r_eve = _cn_samples(N, streams["ris_eve"])
-        d_st = _cn_samples(L, streams["bs_st"])
-        r_st = _cn_samples(N, streams["ris_st"])
-        out.append(ChannelRealization(
-            slot=t, H_fading=H,
-            D_fading=np.array([*d_lu, d_eve, d_st]),
-            R_fading=np.array([*r_lu, r_eve, r_st]),
-            H_amp=H_amp, D_amp=D_amp, R_amp=R_amp))
-    return out
+    def receivers(n, users, eve, target):
+        """T x (M+2) x n links of the users, Eve and the target."""
+        return np.concatenate([_cn_samples((T, M), (n,), streams[users]),
+                               _cn_samples((T, 1), (n,), streams[eve]),
+                               _cn_samples((T, 1), (n,), streams[target])],
+                              axis=1)
+
+    H_fading = rician_channel(
+        params, 0.0, T, N, L, beta_b, beta_r, zeta_r, streams["bs_ris"])
+    D_fading = receivers(L, "bs_lu", "bs_eve", "bs_st")
+    R_fading = receivers(N, "ris_lu", "ris_eve", "ris_st")
+    return EpisodeChannels(H_fading, D_fading, R_fading, H_amp * H_fading,
+                           D_amp * D_fading, R_amp * R_fading)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics, star_ris
-from .channel import (ChannelRealization, FadingParams, SystemGeometry,
-                      generate_episode_channels)
+from .channel import (ChannelRealization, EpisodeChannels, FadingParams,
+                      SystemGeometry, generate_episode_channels)
 from .physics import SensingParams, StepOutcome
 
 
@@ -20,13 +20,19 @@ class EnvError(RuntimeError):
     pass
 
 
-def state_features(ch: ChannelRealization) -> np.ndarray:
+def state_features(ch: ChannelRealization | EpisodeChannels) -> np.ndarray:
     """Flattened real/imag parts of the unit-power fading: H, then the
-    users' direct and RIS-side links, then Eve's and the target's."""
-    D, R = ch.D_fading, ch.R_fading
-    z = np.concatenate([ch.H_fading.ravel(), D[:-2].ravel(), R[:-2].ravel(),
-                        D[-2], R[-2], D[-1], R[-1]])
-    return np.concatenate([z.real, z.imag])
+    users' direct and RIS-side links, then Eve's and the target's. One
+    vector for a slot's ChannelRealization; a (T, F) matrix, one row per
+    slot, for an episode's EpisodeChannels."""
+    H, D, R = ch.H_fading, ch.D_fading, ch.R_fading
+    lead = D.shape[:-2]
+    z = np.concatenate([H.reshape(*lead, -1),
+                        D[..., :-2, :].reshape(*lead, -1),
+                        R[..., :-2, :].reshape(*lead, -1),
+                        D[..., -2, :], R[..., -2, :],
+                        D[..., -1, :], R[..., -1, :]], axis=-1)
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 class SecureIsacEnv:
@@ -72,6 +78,7 @@ class SecureIsacEnv:
         self._beam_scale_s = np.sqrt(0.8 * p_max / (L * self.M))
         self._beam_scale_w = np.sqrt(0.2 * p_max / (L * L))
         self.channels = None
+        self._features = None
         self.t = 0
         self._prev_action = np.zeros(self.action_dim)
         self._prev_reward = 0.0
@@ -92,15 +99,15 @@ class SecureIsacEnv:
         episode_seed = self._seed_seq.spawn(1)[0]
         self.channels = generate_episode_channels(
             self.geometry, self.fading, self.L, self.N, self.T, episode_seed)
+        self._features = state_features(self.channels)
         self.t = 0
         self._prev_action = np.zeros(self.action_dim)
         self._prev_reward = 0.0
         return self._state(0)
 
     def _state(self, t: int) -> np.ndarray:
-        ch = self.channels[min(t, self.T - 1)]
         return np.concatenate([
-            state_features(ch),
+            self._features[min(t, self.T - 1)],
             self._prev_action,
             [self._prev_reward / 10.0, t / self.T],
         ])
@@ -127,7 +134,13 @@ class SecureIsacEnv:
             raise EnvError("call reset() before step()")
         if self.t >= self.T:
             raise EnvError("episode finished; call reset()")
-        raw = np.clip(np.asarray(raw_action, float), -1.0, 1.0)
+        raw = np.asarray(raw_action, float)
+        finite = np.isfinite(raw)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise EnvError(f"non-finite action at step {self.t}: "
+                           f"entry {bad} is {raw[bad]}")
+        raw = np.clip(raw, -1.0, 1.0)
         design, periods = self.decode_action(raw)
         lu, eve, st, echo = physics.evaluate(
             self.channels[self.t], periods, design, self.noise_power,

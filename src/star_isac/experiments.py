@@ -31,6 +31,10 @@ class ConfigError(ValueError):
     pass
 
 
+class RunError(RuntimeError):
+    """A training run produced a value it cannot record."""
+
+
 # Users and eavesdropper sit in the immediate vicinity of the surface
 # (meters away), so the surface cascade dominates the long direct links
 # from the base station and the surface architecture actually matters.
@@ -289,16 +293,21 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     episode_ms = []
     t0 = time.perf_counter()
     current_episode = 0
+    value_columns = episode_columns(cfg.M)[4:-2]
     for rec in _trainer(cfg)(env, agent, cfg.episodes):
         if rec["episode"] != current_episode:
             now = time.perf_counter()
             episode_ms.append((now - t0) * 1e3)
             t0 = now
             current_episode = rec["episode"]
-        rows.append([sid, seed, rec["episode"], rec["step"], rec["reward"],
-                     rec["sum_secrecy_rate"], *rec["lu_rates"],
-                     rec["echo_snr"], int(rec["snr_feasible"]),
-                     int(rec["rate_feasible"])])
+        row = [sid, seed, rec["episode"], rec["step"], rec["reward"],
+               rec["sum_secrecy_rate"], *rec["lu_rates"], rec["echo_snr"],
+               int(rec["snr_feasible"]), int(rec["rate_feasible"])]
+        for name, value in zip(value_columns, row[4:-2]):
+            if not math.isfinite(value):
+                raise RunError(f"non-finite {name} ({value}) at episode "
+                               f"{rec['episode']}, step {rec['step']}")
+        rows.append(row)
     episode_ms.append((time.perf_counter() - t0) * 1e3)
     return rows, episode_ms
 
@@ -402,17 +411,22 @@ SWEEP_AXES = {
 
 def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     """One run_scenario per axis value; long-format sweep.csv keyed by
-    the axis value."""
+    the axis value. Every value is checked before any is trained."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unsupported sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name, cast = SWEEP_AXES[axis]
+    sub_cfgs = []
+    for value in values:
+        try:
+            sub_cfgs.append(replace(cfg, **{field_name: cast(value)}))
+        except ValueError as exc:  # ConfigError, or a failed cast
+            raise ConfigError(f"sweep axis {axis} = {value!r}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = []
-    for value in values:
-        sub_cfg = replace(cfg, **{field_name: cast(value)})
+    for value, sub_cfg in zip(values, sub_cfgs):
         sub_dir = out / f"{axis}_{value}"
         summary = run_scenario(sub_cfg, sub_dir)
         for seed, s in summary["per_seed"].items():

@@ -17,7 +17,7 @@ linear; dB conversion happens once at config load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,14 @@ class DegenerateFilterError(PhysicsError):
 @dataclass
 class TransmitDesign:
     """BS beamformers: M communication columns K_s and L radar columns
-    K_w, stacked as K = [K_s K_w] of shape L x (M+L)."""
+    K_w, stacked once as K = [K_s K_w] of shape L x (M+L)."""
 
     K_s: np.ndarray
     K_w: np.ndarray
+    K: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def K(self) -> np.ndarray:
-        return np.concatenate([self.K_s, self.K_w], axis=1)
+    def __post_init__(self):
+        self.K = np.concatenate([self.K_s, self.K_w], axis=1)
 
 
 @dataclass(frozen=True)

@@ -94,3 +94,48 @@ def random_instance(rng, L=3, N=6, M=2, scale=1.0):
     inst["phi_a"] = np.diag(np.cos(theta) * np.exp(1j * (phases + np.pi / 2)))
     inst["phi_b"] = np.diag(np.sin(theta) * np.exp(1j * phases))
     return inst
+
+
+def naive_episode_fading(geometry, params, L, N, T, seed):
+    """Per-slot (H, D, R) unit-power fading of one episode, drawn slot by
+    slot: one child stream of the seed per link, in the order BS-RIS,
+    BS-users, RIS-users, BS-Eve, RIS-Eve, BS-target, RIS-target; within
+    a stream, per slot and per receiver, the real parts and then the
+    imaginary parts. D and R stack the users, Eve and the target."""
+    M = len(geometry.lu_positions)
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    bs_ris, bs_lu, ris_lu, bs_eve, ris_eve, bs_st, ris_st = (
+        np.random.default_rng(child) for child in ss.spawn(7))
+
+    def cn(shape, rng):
+        return (rng.standard_normal(shape) +
+                1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    # LoS part of BS->RIS: angles from the positions, UPA at the RIS with
+    # row-major indexing, ULA at the BS
+    v = geometry.ris_position - geometry.bs_position
+    d = np.linalg.norm(v)
+    beta_b = np.arctan2(v[1], v[0])
+    beta_r = np.arcsin(np.clip(-v[2] / d, -1.0, 1.0))
+    zeta_r = np.arctan2(-v[1], -v[0])
+    lam = params.wavelength
+    n = np.arange(N)
+    row, col = n // params.n_x, n % params.n_x
+    eta1 = np.sin(beta_r) * np.sin(zeta_r)
+    eta2 = np.sin(beta_r) * np.cos(zeta_r)
+    f_r = np.exp(1j * 2.0 * np.pi * params.d_r * (row * eta1 + col * eta2) / lam)
+    f_b = np.exp(1j * 2.0 * np.pi * np.arange(L) * params.d_0
+                 * np.sin(beta_b) / lam)
+    los = np.outer(f_r, f_b)
+    F = params.rician_factor
+
+    slots = []
+    for _ in range(T):
+        H = np.sqrt(F / (F + 1.0)) * los + np.sqrt(1.0 / (F + 1.0)) * cn((N, L), bs_ris)
+        D = np.array([*[cn(L, bs_lu) for _ in range(M)],
+                      cn(L, bs_eve), cn(L, bs_st)])
+        R = np.array([*[cn(N, ris_lu) for _ in range(M)],
+                      cn(N, ris_eve), cn(N, ris_st)])
+        slots.append((H, D, R))
+    return slots

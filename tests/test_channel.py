@@ -9,6 +9,8 @@ from star_isac.channel import (ChannelError, FadingParams, SystemGeometry,
                                path_loss_los, path_loss_nlos, rician_channel,
                                steering_bs, steering_ris)
 
+from oracles import naive_episode_fading
+
 
 def default_geometry(M=2):
     lus = [(158.0 + 4 * m, 163.0 - 3 * m, 1.5) for m in range(M)]
@@ -94,38 +96,35 @@ class TestRician:
     def test_large_f_is_rank_one(self):
         params = default_fading(F=1e9)
         rng = np.random.default_rng(0)
-        H = rician_channel(params, 0.0, 8, 4, 0.3, -0.2, 0.8, rng)
-        s = np.linalg.svd(H, compute_uv=False)
-        assert s[1] / s[0] < 1e-4
-        assert np.linalg.norm(H, "fro") ** 2 == pytest.approx(32.0, rel=1e-3)
+        for H in rician_channel(params, 0.0, 3, 8, 4, 0.3, -0.2, 0.8, rng):
+            s = np.linalg.svd(H, compute_uv=False)
+            assert s[1] / s[0] < 1e-4
+            assert np.linalg.norm(H, "fro") ** 2 == pytest.approx(32.0, rel=1e-3)
 
     def test_zero_f_unit_variance(self):
         # Monte-Carlo oracle on the Gaussian entry variance
         params = default_fading(F=0.0)
         rng = np.random.default_rng(1)
-        total, count = 0.0, 0
-        for _ in range(200):
-            H = rician_channel(params, 0.0, 12, 5, 0.3, -0.2, 0.8, rng)
-            total += np.sum(np.abs(H) ** 2)
-            count += H.size
-        assert total / count == pytest.approx(1.0, abs=0.02)
+        H = rician_channel(params, 0.0, 200, 12, 5, 0.3, -0.2, 0.8, rng)
+        assert H.shape == (200, 12, 5)
+        assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_seeded_determinism(self):
         params = default_fading()
-        a = rician_channel(params, 60.0, 8, 4, 0.3, -0.2, 0.8,
+        a = rician_channel(params, 60.0, 3, 8, 4, 0.3, -0.2, 0.8,
                            np.random.default_rng(7))
-        b = rician_channel(params, 60.0, 8, 4, 0.3, -0.2, 0.8,
+        b = rician_channel(params, 60.0, 3, 8, 4, 0.3, -0.2, 0.8,
                            np.random.default_rng(7))
         assert np.array_equal(a, b)
+        assert not np.array_equal(a[0], a[1])
 
     def test_frobenius_power_any_f(self):
         # E{||H||_F^2} = lambda*N*L regardless of F
         params = default_fading(F=2.0)
         rng = np.random.default_rng(5)
         amp2 = loss_db_to_amplitude(20.0) ** 2
-        vals = [np.linalg.norm(
-            rician_channel(params, 20.0, 8, 4, 0.3, -0.2, 0.8, rng),
-            "fro") ** 2 for _ in range(3000)]
+        H = rician_channel(params, 20.0, 3000, 8, 4, 0.3, -0.2, 0.8, rng)
+        vals = np.linalg.norm(H, "fro", axis=(1, 2)) ** 2
         assert np.mean(vals) == pytest.approx(amp2 * 32.0, rel=0.03)
 
 
@@ -203,3 +202,35 @@ class TestEpisodeChannels:
         beta_b, beta_r, zeta_r = geometry_angles(default_geometry())
         assert -np.pi <= beta_b <= np.pi
         assert -np.pi / 2 <= beta_r <= np.pi / 2
+
+
+class TestStreamOrder:
+    """One draw per link stream per episode gives the channels that
+    drawing slot by slot gives."""
+
+    @pytest.mark.parametrize("L, N, M, T, seed", [
+        (4, 12, 2, 30, 0), (3, 8, 1, 5, 7), (2, 4, 3, 4, 123),
+        (4, 12, 2, 1, 5), (1, 8, 2, 3, "seed-sequence"),
+    ])
+    def test_matches_per_slot_draws(self, L, N, M, T, seed):
+        def fresh():  # spawning advances a SeedSequence, so build one per call
+            return np.random.SeedSequence(42) if seed == "seed-sequence" else seed
+
+        geometry, params = default_geometry(M), default_fading()
+        want = naive_episode_fading(geometry, params, L, N, T, fresh())
+        got = generate_episode_channels(geometry, params, L, N, T, fresh())
+        losses = link_loss_table(geometry, params)
+        H_amp = loss_db_to_amplitude(losses["bs_ris"])
+        D_amp = np.array([[loss_db_to_amplitude(x)] for x in
+                          [*losses["bs_lu"], losses["bs_eve"], losses["bs_st"]]])
+        R_amp = np.array([[loss_db_to_amplitude(x)] for x in
+                          [*losses["ris_lu"], losses["ris_eve"], losses["ris_st"]]])
+        assert len(got) == T
+        for t, (ch, (H, D, R)) in enumerate(zip(got, want)):
+            assert ch.slot == t
+            assert np.array_equal(ch.H_fading, H)
+            assert np.array_equal(ch.D_fading, D)
+            assert np.array_equal(ch.R_fading, R)
+            assert np.array_equal(ch.H, H_amp * H)
+            assert np.array_equal(ch.D, D_amp * D)
+            assert np.array_equal(ch.R, R_amp * R)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from star_isac import physics
-from star_isac.env import EnvError, SecureIsacEnv
+from star_isac.env import EnvError, SecureIsacEnv, state_features
 from star_isac.experiments import ScenarioConfig, build_baseline
 
 from oracles import naive_sinr
@@ -114,6 +114,29 @@ class TestEpisodeControl:
         env.reset()
         with pytest.raises(EnvError):
             env.step(np.zeros(env.action_dim + 1))
+
+    def test_state_head_is_each_slots_features(self):
+        # reset reads slot 0; the state after step k reads slot k+1, and
+        # the last step's state repeats slot T-1
+        env = make_env(seed=5)
+        states = [env.reset()]
+        rng = np.random.default_rng(3)
+        for _ in range(env.T):
+            states.append(env.step(rng.uniform(-1, 1, env.action_dim)).next_state)
+        for t, state in enumerate(states):
+            want = state_features(env.channels[min(t, env.T - 1)])
+            assert np.array_equal(state[:want.size], want)
+
+    def test_non_finite_action_rejected(self):
+        env = make_env()
+        env.reset()
+        env.step(np.zeros(env.action_dim))
+        for bad, text in ((np.nan, "nan"), (np.inf, "inf")):
+            act = np.zeros(env.action_dim)
+            act[[5, 9]] = bad
+            with pytest.raises(EnvError, match=f"step 1: entry 5 is {text}"):
+                env.step(act)
+        assert env.t == 1
 
     def test_state_tail_tracks_action_and_reward(self):
         env = make_env()

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from star_isac.cli import main as cli_main
+from star_isac.env import SecureIsacEnv
 from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW, ConfigError,
-                                   ScenarioConfig, build_agent, build_baseline,
-                                   episode_returns, episode_secrecy,
-                                   parse_config, run_scenario, run_seed,
-                                   seed_summary, sweep)
+                                   RunError, ScenarioConfig, build_agent,
+                                   build_baseline, episode_returns,
+                                   episode_secrecy, parse_config, run_scenario,
+                                   run_seed, seed_summary, sweep)
+from star_isac.sac import SacAgent
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -174,6 +177,37 @@ class TestRunScenario:
                 (tmp_path / "b" / name).read_bytes()
 
 
+def poison_step(monkeypatch, field, value, at):
+    """Make the outcome of env step number ``at`` (counted from 0 over the
+    whole run) carry ``value`` in ``field``."""
+    step, calls = SecureIsacEnv.step, []
+
+    def poisoned(env, action):
+        out = step(env, action)
+        if len(calls) == at:
+            setattr(out, field, value)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(SecureIsacEnv, "step", poisoned)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field, value, name", [
+        ("reward", np.nan, "reward (nan)"),
+        ("sum_secrecy_rate", np.inf, "sum_secrecy_rate (inf)"),
+        ("lu_rates", np.array([0.5, np.nan]), "lu_rate_1 (nan)"),
+        ("echo_snr", np.nan, "echo_snr (nan)"),
+    ])
+    def test_run_stops_naming_quantity_episode_and_step(
+            self, monkeypatch, field, value, name):
+        # T = 4: step 6 of the run is episode 1, step 2
+        poison_step(monkeypatch, field, value, at=6)
+        with pytest.raises(RunError, match=rf"non-finite {re.escape(name)} "
+                                           r"at episode 1, step 2"):
+            run_seed(tiny_cfg(), 0)
+
+
 class TestSweep:
     def test_axis_values_and_files(self, tmp_path):
         cfg = tiny_cfg()
@@ -217,6 +251,43 @@ class TestCli:
                        "--out", str(tmp_path / "sw")])
         assert rc == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("values, why", [
+        ("abc", "invalid literal"), ("4,5", "n_x must divide N"),
+    ])
+    def test_sweep_bad_value_exit_two_before_training(self, tmp_path, capsys,
+                                                      values, why):
+        out = tmp_path / "sw"
+        rc = cli_main(["sweep", "--config", self.write_cfg(tmp_path),
+                       "--axis", "N", "--values", values, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        bad = values.split(",")[-1]
+        assert f"config error: sweep axis N = {bad!r}: " in err and why in err
+        assert not out.exists()
+
+    def test_non_finite_reward_exit_three(self, tmp_path, capsys, monkeypatch):
+        poison_step(monkeypatch, "reward", np.nan, at=0)
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert ("runtime error: non-finite reward (nan) at episode 0, step 0"
+                in capsys.readouterr().err)
+
+    def test_non_finite_action_exit_three(self, tmp_path, capsys, monkeypatch):
+        sample = SacAgent.sample_action
+
+        def nan_action(agent, state):
+            action, log_prob = sample(agent, state)
+            action[3] = np.nan
+            return action, log_prob
+
+        monkeypatch.setattr(SacAgent, "sample_action", nan_action)
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert ("runtime error: non-finite action at step 0: entry 3 is nan"
+                in capsys.readouterr().err)
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
