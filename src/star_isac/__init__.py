@@ -1,11 +1,11 @@
 """STAR-RIS aided ISAC secure-communication simulator and RL optimizers."""
 
-from .channel import (ChannelRealization, FadingParams, SystemGeometry,
+from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
                       generate_episode_channels, path_loss_los,
                       path_loss_nlos, rician_channel, steering_bs,
                       steering_ris)
 from .env import SecureIsacEnv
-from .experiments import ScenarioConfig, run_scenario, sweep, measure_runtime
+from .experiments import ScenarioConfig, run_scenario, sweep
 from .physics import (SensingParams, StepOutcome, TransmitDesign,
                       echo_snr_lower_bound, effective_channels, evaluate,
                       optimal_filter, project_power, reward, secrecy_rate,
@@ -14,11 +14,11 @@ from .star_ris import (SURFACES, decode, es_coefficients, es_power_split,
                        ts_periods)
 
 __all__ = [
-    "ChannelRealization", "FadingParams", "SystemGeometry",
+    "EpisodeChannels", "FadingParams", "SystemGeometry",
     "generate_episode_channels", "path_loss_los", "path_loss_nlos",
     "rician_channel", "steering_bs", "steering_ris",
     "SecureIsacEnv",
-    "ScenarioConfig", "run_scenario", "sweep", "measure_runtime",
+    "ScenarioConfig", "run_scenario", "sweep",
     "SensingParams", "StepOutcome", "TransmitDesign",
     "echo_snr_lower_bound", "effective_channels", "evaluate",
     "optimal_filter", "project_power", "reward", "secrecy_rate", "sinrs",

@@ -4,11 +4,12 @@ All quantities are linear unless the name says dB. One master seed is
 split into independent per-link streams, so adding a link never perturbs
 the draws of another.
 
-Each episode draws every link stream once, for all T slots together.
-Within a stream the order is: per slot, per receiver, the link's real
-parts, then its imaginary parts. This is the order in which a per-slot
-loop would draw them, so a seed gives the same channels whichever way
-they are drawn.
+Each episode draws every link stream once, for all T slots together,
+and returns the links as one ``EpisodeChannels`` record of (T, ...)
+stacks; slot t is index t of each stack. Within a stream the order is:
+per slot, per receiver, the link's real parts, then its imaginary parts.
+This is the order in which a per-slot loop would draw them, so a seed
+gives the same channels whichever way they are drawn.
 """
 from __future__ import annotations
 
@@ -33,16 +34,15 @@ def dbm_to_watt(x_dbm: float) -> float:
 
 @dataclass(frozen=True)
 class SystemGeometry:
-    """Node positions in meters. Side A is the reflection (sensing) half
-    space, side B the transmission (communication) half space."""
+    """Node positions in meters. The sensing target is served from the
+    surface's reflection side A, the users and Eve from its transmission
+    side B."""
 
     bs_position: np.ndarray
     ris_position: np.ndarray
     lu_positions: tuple
     eve_position: np.ndarray
     st_position: np.ndarray
-    lu_side: str = "B"
-    st_side: str = "A"
 
     def __post_init__(self):
         object.__setattr__(self, "bs_position", np.asarray(self.bs_position, float))
@@ -52,10 +52,6 @@ class SystemGeometry:
         )
         object.__setattr__(self, "eve_position", np.asarray(self.eve_position, float))
         object.__setattr__(self, "st_position", np.asarray(self.st_position, float))
-        if self.st_side != "A":
-            raise ChannelError("sensed target must sit on the reflection side A")
-        if self.lu_side != "B":
-            raise ChannelError("users must sit on the transmission side B")
         pts = [self.bs_position, self.ris_position, *self.lu_positions,
                self.eve_position, self.st_position]
         for i in range(len(pts)):
@@ -74,15 +70,13 @@ class FadingParams:
 
     rician_factor is linear (convert from dB before constructing).
     carrier_freq_ghz feeds the loss formulas directly; the wavelength is
-    derived from the same frequency.
+    derived from the same frequency, and both arrays space their elements
+    half a wavelength apart.
     """
 
     rician_factor: float
     carrier_freq_ghz: float
     n_x: int
-    d_r: float = 0.0  # 0 -> half wavelength
-    d_0: float = 0.0
-    z_r: float = 1.5
 
     def __post_init__(self):
         if self.rician_factor < 0:
@@ -91,63 +85,29 @@ class FadingParams:
             raise ChannelError("carrier frequency must be positive")
         if self.n_x <= 0:
             raise ChannelError("n_x must be positive")
-        lam = self.wavelength
-        if self.d_r == 0.0:
-            object.__setattr__(self, "d_r", lam / 2.0)
-        if self.d_0 == 0.0:
-            object.__setattr__(self, "d_0", lam / 2.0)
 
     @property
     def wavelength(self) -> float:
         return C_LIGHT / (self.carrier_freq_ghz * 1e9)
 
 
-@dataclass
-class ChannelRealization:
-    """All complex channel coefficients for one timeslot: each link as
-    unit-power fading and as the scaled link, fading times its path-loss
-    amplitude.
+@dataclass(frozen=True)
+class EpisodeChannels:
+    """Every link of one episode as a (T, ...) stack, slot first.
 
     Receivers are stacked in the order users, Eve, sensing target: row k
-    of D_fading is receiver k's direct BS link and row k of R_fading its
-    RIS-side link. The fading feeds the observation vector so feature
-    scales stay O(1); H, D and R are the scaled links, which default to
-    the fading itself (unit amplitudes).
+    of D is receiver k's direct BS link and row k of R its RIS-side link.
+    The unit-power fading feeds the observation vector so feature scales
+    stay O(1); H, D and R are the scaled links, fading times path-loss
+    amplitude, which the physics reads one slot at a time.
     """
 
-    slot: int
-    H_fading: np.ndarray          # N x L, BS -> RIS
-    D_fading: np.ndarray          # (M+2) x L, BS -> receiver
-    R_fading: np.ndarray          # (M+2) x N, RIS -> receiver
-    H: np.ndarray = None
-    D: np.ndarray = None
-    R: np.ndarray = None
-
-    def __post_init__(self):
-        if self.H is None:
-            self.H = self.H_fading
-        if self.D is None:
-            self.D = self.D_fading
-        if self.R is None:
-            self.R = self.R_fading
-
-
-class EpisodeChannels(list):
-    """The T ChannelRealizations of one episode, in slot order.
-
-    Every slot's arrays are views into the episode's (T, ...) stacks.
-    The fading stacks are kept here too, as H_fading, D_fading and
-    R_fading, so per-episode work can read all slots at once.
-    """
-
-    def __init__(self, H_fading, D_fading, R_fading, H, D, R):
-        super().__init__(
-            ChannelRealization(t, H_fading[t], D_fading[t], R_fading[t],
-                               H[t], D[t], R[t])
-            for t in range(len(H_fading)))
-        self.H_fading = H_fading
-        self.D_fading = D_fading
-        self.R_fading = R_fading
+    H_fading: np.ndarray          # T x N x L, BS -> RIS
+    D_fading: np.ndarray          # T x (M+2) x L, BS -> receiver
+    R_fading: np.ndarray          # T x (M+2) x N, RIS -> receiver
+    H: np.ndarray
+    D: np.ndarray
+    R: np.ndarray
 
 
 def path_loss_los(d: float, f1: float) -> float:
@@ -210,8 +170,9 @@ def rician_channel(params: FadingParams, loss_db: float, T: int, N: int,
     outer product, formed once, plus i.i.d. NLoS, scaled by the linear
     amplitude of the loss."""
     F = params.rician_factor
-    f_r = steering_ris(N, beta_r, zeta_r, params.d_r, params.wavelength, params.n_x)
-    f_b = steering_bs(L, beta_b, params.d_0, params.wavelength)
+    lam = params.wavelength
+    f_r = steering_ris(N, beta_r, zeta_r, lam / 2.0, lam, params.n_x)
+    f_b = steering_bs(L, beta_b, lam / 2.0, lam)
     los = np.outer(f_r, f_b)
     nlos = _cn_samples((T,), (N, L), rng)
     mix = np.sqrt(F / (F + 1.0)) * los + np.sqrt(1.0 / (F + 1.0)) * nlos
@@ -259,7 +220,7 @@ def link_loss_table(geometry: SystemGeometry, params: FadingParams) -> dict:
 
 def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
                               L: int, N: int, T: int, seed) -> EpisodeChannels:
-    """One independent ChannelRealization per slot.
+    """An independent channel draw per slot, for all T slots at once.
 
     BS->RIS is Rician; all other links are NLoS-only Rayleigh with their
     own path loss. Channel draws per link come from independent child

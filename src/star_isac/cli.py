@@ -1,4 +1,4 @@
-"""Command-line entry point: run / sweep / bench.
+"""Command-line entry point: run / sweep.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 
 from .experiments import (ConfigError, ScenarioConfig, load_config,
-                          measure_runtime, run_scenario, sweep)
+                          run_scenario, sweep)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -38,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "protocol", "baseline"])
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated axis values")
-
-    bench_p = sub.add_parser("bench", help="measure per-episode runtime")
-    _add_common(bench_p)
     return parser
 
 
@@ -74,7 +71,7 @@ def main(argv=None) -> int:
                   f"final return {summary['final_return_mean']:.4g} "
                   f"± {summary['final_return_std']:.4g}, "
                   f"secrecy {summary['final_secrecy_mean']:.4g} bps/Hz")
-        elif args.command == "sweep":
+        else:  # sweep
             values = args.values.split(",")
             results = sweep(cfg, args.axis, values, args.out)
             for r in results:
@@ -82,9 +79,6 @@ def main(argv=None) -> int:
                     print(f"{args.axis}={r['value']}: "
                           f"return {r['final_return']:.4g}, "
                           f"secrecy {r['final_secrecy']:.4g}")
-        else:  # bench
-            ms = measure_runtime(cfg)
-            print(f"{cfg.algorithm}: {ms:.1f} ms/episode")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

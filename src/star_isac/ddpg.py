@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import Adam, Mlp, ReplayBuffer, RewardScale, soft_update
+from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, critic_mse,
+                      soft_update)
 
 
 class DdpgAgent:
@@ -59,18 +60,8 @@ class DdpgAgent:
         r = self.reward_scale.normalize(batch["rewards"])
         return r + self.gamma * (1.0 - batch["dones"]) * q_next
 
-    def critic_loss_and_grads(self, batch):
-        y = self.target_value(batch)
-        x = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        q, cache = self.critic.forward(x)
-        q = q[:, 0]
-        d = q.size
-        loss = float(np.mean((y - q) ** 2))
-        grads, _ = self.critic.backward(cache, (2.0 * (q - y) / d)[:, None])
-        return loss, grads
-
     def critic_update(self, batch) -> float:
-        loss, grads = self.critic_loss_and_grads(batch)
+        loss, grads = critic_mse(self.critic, batch, self.target_value(batch))
         self.critic_opt.step(self.critic.params, grads)
         return loss
 
@@ -117,24 +108,16 @@ class DdpgAgent:
 
 
 def train(env, agent: DdpgAgent, episodes: int):
-    """Run the training loop; yields one record per environment step."""
+    """Run the training loop; yields the env's StepOutcome of every step,
+    episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
     if agent.state_dim != env.state_dim or agent.action_dim != env.action_dim:
         raise ValueError("agent/environment dimension mismatch")
-    for episode in range(episodes):
+    for _ in range(episodes):
         state = env.reset()
-        for step in range(env.T):
+        for _ in range(env.T):
             action = agent.select_action(state, explore=True)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
             agent.maybe_update()
-            yield {
-                "episode": episode,
-                "step": step,
-                "reward": out.reward,
-                "sum_secrecy_rate": out.sum_secrecy_rate,
-                "lu_rates": out.lu_rates,
-                "echo_snr": out.echo_snr,
-                "snr_feasible": out.snr_feasible,
-                "rate_feasible": out.rate_feasible,
-            }
+            yield out
             state = out.next_state

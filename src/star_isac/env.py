@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics, star_ris
-from .channel import (ChannelRealization, EpisodeChannels, FadingParams,
-                      SystemGeometry, generate_episode_channels)
+from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
+                      generate_episode_channels)
 from .physics import SensingParams, StepOutcome
 
 
@@ -20,19 +20,16 @@ class EnvError(RuntimeError):
     pass
 
 
-def state_features(ch: ChannelRealization | EpisodeChannels) -> np.ndarray:
-    """Flattened real/imag parts of the unit-power fading: H, then the
-    users' direct and RIS-side links, then Eve's and the target's. One
-    vector for a slot's ChannelRealization; a (T, F) matrix, one row per
-    slot, for an episode's EpisodeChannels."""
+def state_features(ch: EpisodeChannels) -> np.ndarray:
+    """(T, F) matrix, one row per slot: the flattened real/imag parts of
+    the unit-power fading, H, then the users' direct and RIS-side links,
+    then Eve's and the target's."""
     H, D, R = ch.H_fading, ch.D_fading, ch.R_fading
-    lead = D.shape[:-2]
-    z = np.concatenate([H.reshape(*lead, -1),
-                        D[..., :-2, :].reshape(*lead, -1),
-                        R[..., :-2, :].reshape(*lead, -1),
-                        D[..., -2, :], R[..., -2, :],
-                        D[..., -1, :], R[..., -1, :]], axis=-1)
-    return np.concatenate([z.real, z.imag], axis=-1)
+    T = len(D)
+    z = np.concatenate([H.reshape(T, -1), D[:, :-2].reshape(T, -1),
+                        R[:, :-2].reshape(T, -1), D[:, -2], R[:, -2],
+                        D[:, -1], R[:, -1]], axis=1)
+    return np.concatenate([z.real, z.imag], axis=1)
 
 
 class SecureIsacEnv:
@@ -142,8 +139,9 @@ class SecureIsacEnv:
                            f"entry {bad} is {raw[bad]}")
         raw = np.clip(raw, -1.0, 1.0)
         design, periods = self.decode_action(raw)
+        ch, t = self.channels, self.t
         lu, eve, st, echo = physics.evaluate(
-            self.channels[self.t], periods, design, self.noise_power,
+            ch.H[t], ch.D[t], ch.R[t], periods, design, self.noise_power,
             self.sensing)
         sec = physics.secrecy_rate(lu, eve, st)
         sum_sec = float(sec.sum())

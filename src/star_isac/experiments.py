@@ -107,6 +107,19 @@ class ScenarioConfig:
             raise ConfigError("n_x must divide N")
         if len(self.geometry["lus"]) != self.M:
             raise ConfigError("geometry must list M user positions")
+        g = self.geometry
+        points = {"geometry.bs": g["bs"], "geometry.ris": g["ris"],
+                  **{f"geometry.lus[{m}]": p for m, p in enumerate(g["lus"])},
+                  "geometry.eve": g["eve"], "geometry.st": g["st"]}
+        seen = {}
+        for key, p in points.items():
+            if len(p) != 3 or not all(_is_real(x) for x in p):
+                raise ConfigError(f"{key} = {p!r}: need three finite "
+                                  f"coordinates")
+            if tuple(p) in seen:
+                raise ConfigError(f"{key} = {_fmt_point(p)} coincides with "
+                                  f"{seen[tuple(p)]}")
+            seen[tuple(p)] = key
 
     # linear-unit views
     @property
@@ -200,19 +213,21 @@ def parse_config(text: str, **overrides) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _SCALAR_KEYS:
-            kwargs[key] = _SCALAR_KEYS[key](value)
-        elif key == "seeds":
-            kwargs["seeds"] = tuple(int(s) for s in value.split(","))
-        elif key in _GEOM_KEYS:
-            name = key.split(".", 1)[1]
-            if name == "lus":
+        if key not in _SCALAR_KEYS and key != "seeds" and key not in _GEOM_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key in _SCALAR_KEYS:
+                kwargs[key] = _SCALAR_KEYS[key](value)
+            elif key == "seeds":
+                kwargs["seeds"] = tuple(int(s) for s in value.split(","))
+            elif key == "geometry.lus":
                 geometry["lus"] = tuple(_parse_point(p)
                                         for p in value.split(";") if p)
             else:
-                geometry[name] = _parse_point(value)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                geometry[key.split(".", 1)[1]] = _parse_point(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key} = {value!r}: "
+                              f"{exc}") from exc
     kwargs["geometry"] = geometry
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)
@@ -292,21 +307,20 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     rows = []
     episode_ms = []
     t0 = time.perf_counter()
-    current_episode = 0
     value_columns = episode_columns(cfg.M)[4:-2]
-    for rec in _trainer(cfg)(env, agent, cfg.episodes):
-        if rec["episode"] != current_episode:
+    for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
+        episode, step = divmod(i, cfg.T)
+        if step == 0 and episode:
             now = time.perf_counter()
             episode_ms.append((now - t0) * 1e3)
             t0 = now
-            current_episode = rec["episode"]
-        row = [sid, seed, rec["episode"], rec["step"], rec["reward"],
-               rec["sum_secrecy_rate"], *rec["lu_rates"], rec["echo_snr"],
-               int(rec["snr_feasible"]), int(rec["rate_feasible"])]
+        row = [sid, seed, episode, step, out.reward, out.sum_secrecy_rate,
+               *out.lu_rates, out.echo_snr, int(out.snr_feasible),
+               int(out.rate_feasible)]
         for name, value in zip(value_columns, row[4:-2]):
             if not math.isfinite(value):
                 raise RunError(f"non-finite {name} ({value}) at episode "
-                               f"{rec['episode']}, step {rec['step']}")
+                               f"{episode}, step {step}")
         rows.append(row)
     episode_ms.append((time.perf_counter() - t0) * 1e3)
     return rows, episode_ms

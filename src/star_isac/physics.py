@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization
-
 
 class PhysicsError(ValueError):
     pass
@@ -157,13 +155,14 @@ def optimal_filter(g_s: np.ndarray, design: TransmitDesign) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one slot, summed over the surface's periods
 
-def evaluate(ch: ChannelRealization, periods, design: TransmitDesign,
-             sigma2: float, sensing: SensingParams):
-    """(LU, Eve, target rates per user, echo SNR) of one slot, each the
-    weighted sum over the (weight, Phi_A, Phi_B) periods. The echo SNR
-    of a period is taken at its closed-form filter, and is 0 where the
-    target's channel is degenerate."""
-    D, R, H = ch.D, ch.R, ch.H
+def evaluate(H: np.ndarray, D: np.ndarray, R: np.ndarray, periods,
+             design: TransmitDesign, sigma2: float, sensing: SensingParams):
+    """(LU, Eve, target rates per user, echo SNR) of one slot with scaled
+    links H (N x L), D ((M+2) x L) and R ((M+2) x N), receivers stacked
+    as in ``effective_channels``; each the weighted sum over the
+    (weight, Phi_A, Phi_B) periods. The echo SNR of a period is taken at
+    its closed-form filter, and is 0 where the target's channel is
+    degenerate."""
     lu = eve = st = echo = 0.0
     for weight, phi_a, phi_b in periods:
         h_eff = effective_channels(D, R, H, phi_a, phi_b)

@@ -97,7 +97,7 @@ class Mlp:
         self.weights, self.biases = _layer_views(self.sizes, flat)
         self.grad = None
         self._input_grad_only = input_grad_only
-        self._through = self if input_grad_only else None
+        self._through = None
 
     @property
     def params(self):
@@ -117,7 +117,11 @@ class Mlp:
 
     def through(self) -> "Mlp":
         """A view that shares this net's parameters and whose backward
-        returns only the input gradient; made once, then reused."""
+        returns only the input gradient; made once, then reused. The view
+        is its own through(), without a reference to itself: such a cycle
+        would keep the parameters alive until a full garbage collection."""
+        if self._input_grad_only:
+            return self
         if self._through is None:
             self._through = self._over(self.flat, input_grad_only=True)
         return self._through
@@ -247,6 +251,17 @@ class RewardScale:
 
     def normalize(self, rewards):
         return rewards / self.scale
+
+
+def critic_mse(critic: Mlp, batch, y: np.ndarray):
+    """(loss, grads) of the mean squared error between the critic's
+    Q(s, a) on the batch and the regression targets y."""
+    x = np.concatenate([batch["states"], batch["actions"]], axis=1)
+    q, cache = critic.forward(x)
+    q = q[:, 0]
+    loss = float(np.mean((y - q) ** 2))
+    grads, _ = critic.backward(cache, (2.0 * (q - y) / q.size)[:, None])
+    return loss, grads
 
 
 def soft_update(target: Mlp, online: Mlp, eps: float) -> None:

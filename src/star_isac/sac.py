@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import Adam, Mlp, ReplayBuffer, RewardScale, soft_update
+from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, critic_mse,
+                      soft_update)
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -121,19 +122,10 @@ class SacAgent:
         r = self.reward_scale.normalize(batch["rewards"])
         return r + self.gamma * (1.0 - batch["dones"]) * v
 
-    def critic_loss_and_grads(self, critic: Mlp, batch, y):
-        x = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        q, cache = critic.forward(x)
-        q = q[:, 0]
-        d = q.size
-        loss = float(np.mean((y - q) ** 2))
-        grads, _ = critic.backward(cache, (2.0 * (q - y) / d)[:, None])
-        return loss, grads
-
     def critic_update(self, batch, eps=None):
         y = self.soft_q_target(batch, eps=eps)
-        loss1, g1 = self.critic_loss_and_grads(self.critic1, batch, y)
-        loss2, g2 = self.critic_loss_and_grads(self.critic2, batch, y)
+        loss1, g1 = critic_mse(self.critic1, batch, y)
+        loss2, g2 = critic_mse(self.critic2, batch, y)
         self.critic1_opt.step(self.critic1.params, g1)
         self.critic2_opt.step(self.critic2.params, g2)
         return loss1, loss2
@@ -222,24 +214,16 @@ class SacAgent:
 
 
 def train(env, agent: SacAgent, episodes: int):
-    """Run the training loop; yields one record per environment step."""
+    """Run the training loop; yields the env's StepOutcome of every step,
+    episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
     if agent.state_dim != env.state_dim or agent.action_dim != env.action_dim:
         raise ValueError("agent/environment dimension mismatch")
-    for episode in range(episodes):
+    for _ in range(episodes):
         state = env.reset()
-        for step in range(env.T):
+        for _ in range(env.T):
             action, _ = agent.sample_action(state)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
             agent.maybe_update()
-            yield {
-                "episode": episode,
-                "step": step,
-                "reward": out.reward,
-                "sum_secrecy_rate": out.sum_secrecy_rate,
-                "lu_rates": out.lu_rates,
-                "echo_snr": out.echo_snr,
-                "snr_feasible": out.snr_feasible,
-                "rate_feasible": out.rate_feasible,
-            }
+            yield out
             state = out.next_state

@@ -124,8 +124,9 @@ def naive_episode_fading(geometry, params, L, N, T, seed):
     row, col = n // params.n_x, n % params.n_x
     eta1 = np.sin(beta_r) * np.sin(zeta_r)
     eta2 = np.sin(beta_r) * np.cos(zeta_r)
-    f_r = np.exp(1j * 2.0 * np.pi * params.d_r * (row * eta1 + col * eta2) / lam)
-    f_b = np.exp(1j * 2.0 * np.pi * np.arange(L) * params.d_0
+    # half-wavelength element spacing on both arrays
+    f_r = np.exp(1j * 2.0 * np.pi * (lam / 2.0) * (row * eta1 + col * eta2) / lam)
+    f_b = np.exp(1j * 2.0 * np.pi * np.arange(L) * (lam / 2.0)
                  * np.sin(beta_b) / lam)
     los = np.outer(f_r, f_b)
     F = params.rician_factor

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from star_isac import physics
-from star_isac.channel import ChannelRealization
 from star_isac.ddpg import DdpgAgent
 from star_isac.experiments import (ScenarioConfig, measure_runtime,
                                    run_scenario)
 from star_isac.physics import SensingParams, TransmitDesign
+from star_isac.rl_core import critic_mse
 from star_isac.sac import SacAgent
 from star_isac.star_ris import decode, es_power_split, ts_periods
 
@@ -37,18 +37,18 @@ def _instance(rng):
     N = int(rng.integers(2, 9))
     M = int(rng.integers(1, 4))
     inst = random_instance(rng, L=L, N=N, M=M)
-    ch = ChannelRealization(
-        slot=0, H_fading=inst["H"],
-        D_fading=np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
-        R_fading=np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
+    ch = (inst["H"],
+          np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
+          np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
     design = TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
     return inst, ch, design, L, N, M
 
 
 def _channels(ch, phi_a, phi_b):
     """Effective channels of every receiver (users, Eve, target) for
-    surfaces given as coefficient vectors."""
-    return physics.effective_channels(ch.D, ch.R, ch.H, phi_a, phi_b)
+    surfaces given as coefficient vectors; ch is the (H, D, R) triple."""
+    H, D, R = ch
+    return physics.effective_channels(D, R, H, phi_a, phi_b)
 
 
 def _target(ch, inst):
@@ -156,7 +156,7 @@ def test_criterion_03_filter_optimality():
         periods = ts_periods(float(rng2.uniform()),
                              rng2.uniform(0, 2 * np.pi, N),
                              rng2.uniform(0, 2 * np.pi, N))
-        best = physics.evaluate(ch, periods, design, 1.0, sensing)[3]
+        best = physics.evaluate(*ch, periods, design, 1.0, sensing)[3]
         targets = [(w, _channels(ch, pa, pb)[-1].conj())
                    for w, pa, pb in periods]
         n = design.K.size
@@ -227,9 +227,10 @@ def test_criterion_05_gradient_correctness():
 
     dagent = DdpgAgent(4, 3, hidden=(10, 10), buffer_capacity=8,
                        batch_size=4, seed=1)
-    _, cgrads = dagent.critic_loss_and_grads(batch)
+    targets = dagent.target_value(batch)
+    _, cgrads = critic_mse(dagent.critic, batch, targets)
     worst = max(worst, _fd_check(
-        lambda: dagent.critic_loss_and_grads(batch)[0],
+        lambda: critic_mse(dagent.critic, batch, targets)[0],
         dagent.critic.get_flat, dagent.critic.set_flat,
         np.concatenate([g.ravel() for g in cgrads]), rng))
     _, agrads = dagent.actor_objective_and_grads(batch)
@@ -247,9 +248,9 @@ def test_criterion_05_gradient_correctness():
         sagent.policy.get_flat, sagent.policy.set_flat,
         np.concatenate([g.ravel() for g in pgrads]), rng))
     y = sagent.soft_q_target(batch, eps=eps)
-    _, c1grads = sagent.critic_loss_and_grads(sagent.critic1, batch, y)
+    _, c1grads = critic_mse(sagent.critic1, batch, y)
     worst = max(worst, _fd_check(
-        lambda: sagent.critic_loss_and_grads(sagent.critic1, batch, y)[0],
+        lambda: critic_mse(sagent.critic1, batch, y)[0],
         sagent.critic1.get_flat, sagent.critic1.set_flat,
         np.concatenate([g.ravel() for g in c1grads]), rng))
 

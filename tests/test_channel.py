@@ -129,12 +129,6 @@ class TestRician:
 
 
 class TestGeometry:
-    def test_st_must_be_side_a(self):
-        with pytest.raises(ChannelError):
-            SystemGeometry(bs_position=(0, 0, 5), ris_position=(1, 1, 1),
-                           lu_positions=[(2, 2, 2)], eve_position=(3, 3, 3),
-                           st_position=(4, 4, 4), st_side="B")
-
     def test_coincident_positions_rejected(self):
         with pytest.raises(ChannelError):
             SystemGeometry(bs_position=(0, 0, 5), ris_position=(0, 0, 5),
@@ -146,12 +140,12 @@ class TestEpisodeChannels:
     def test_single_slot(self):
         chans = generate_episode_channels(
             default_geometry(), default_fading(), L=4, N=12, T=1, seed=0)
-        assert len(chans) == 1
-        ch = chans[0]
-        assert ch.H.shape == (12, 4)
+        assert chans.H.shape == chans.H_fading.shape == (1, 12, 4)
         # rows: 2 users, Eve, target
-        assert ch.D.shape == (4, 4) and ch.R.shape == (4, 12)
-        assert all(np.all(np.isfinite(v)) for v in [ch.H, ch.D, ch.R])
+        assert chans.D.shape == chans.D_fading.shape == (1, 4, 4)
+        assert chans.R.shape == chans.R_fading.shape == (1, 4, 12)
+        assert all(np.all(np.isfinite(v)) for v in
+                   [chans.H, chans.D, chans.R])
 
     def test_t_must_be_positive(self):
         with pytest.raises(ChannelError):
@@ -163,16 +157,15 @@ class TestEpisodeChannels:
                                       L=4, N=12, T=3, seed=11)
         b = generate_episode_channels(default_geometry(), default_fading(),
                                       L=4, N=12, T=3, seed=11)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.H, cb.H)
-            assert np.array_equal(ca.R, cb.R)
+        assert np.array_equal(a.H, b.H)
+        assert np.array_equal(a.R, b.R)
 
     def test_seeds_differ(self):
         a = generate_episode_channels(default_geometry(), default_fading(),
                                       L=4, N=12, T=1, seed=1)
         b = generate_episode_channels(default_geometry(), default_fading(),
                                       L=4, N=12, T=1, seed=2)
-        assert not np.array_equal(a[0].H, b[0].H)
+        assert not np.array_equal(a.H, b.H)
 
     def test_per_link_power_matches_path_loss(self):
         # Monte-Carlo: empirical per-entry power equals the linear loss
@@ -182,10 +175,10 @@ class TestEpisodeChannels:
                                           T=4000, seed=3)
         losses = link_loss_table(geometry, params)
         lin = loss_db_to_amplitude(losses["bs_eve"]) ** 2
-        emp = np.mean([np.mean(np.abs(ch.D[-2]) ** 2) for ch in chans])
+        emp = np.mean(np.abs(chans.D[:, -2]) ** 2)
         assert emp == pytest.approx(lin, rel=0.03)
         lin_st = loss_db_to_amplitude(losses["ris_st"]) ** 2
-        emp_st = np.mean([np.mean(np.abs(ch.R[-1]) ** 2) for ch in chans])
+        emp_st = np.mean(np.abs(chans.R[:, -1]) ** 2)
         assert emp_st == pytest.approx(lin_st, rel=0.03)
 
     def test_bs_ris_uses_los_others_nlos(self):
@@ -225,12 +218,11 @@ class TestStreamOrder:
                           [*losses["bs_lu"], losses["bs_eve"], losses["bs_st"]]])
         R_amp = np.array([[loss_db_to_amplitude(x)] for x in
                           [*losses["ris_lu"], losses["ris_eve"], losses["ris_st"]]])
-        assert len(got) == T
-        for t, (ch, (H, D, R)) in enumerate(zip(got, want)):
-            assert ch.slot == t
-            assert np.array_equal(ch.H_fading, H)
-            assert np.array_equal(ch.D_fading, D)
-            assert np.array_equal(ch.R_fading, R)
-            assert np.array_equal(ch.H, H_amp * H)
-            assert np.array_equal(ch.D, D_amp * D)
-            assert np.array_equal(ch.R, R_amp * R)
+        assert len(got.H) == len(want) == T
+        for t, (H, D, R) in enumerate(want):
+            assert np.array_equal(got.H_fading[t], H)
+            assert np.array_equal(got.D_fading[t], D)
+            assert np.array_equal(got.R_fading[t], R)
+            assert np.array_equal(got.H[t], H_amp * H)
+            assert np.array_equal(got.D[t], D_amp * D)
+            assert np.array_equal(got.R[t], R_amp * R)

@@ -123,8 +123,10 @@ class TestEpisodeControl:
         rng = np.random.default_rng(3)
         for _ in range(env.T):
             states.append(env.step(rng.uniform(-1, 1, env.action_dim)).next_state)
+        features = state_features(env.channels)
+        assert features.shape[0] == env.T
         for t, state in enumerate(states):
-            want = state_features(env.channels[min(t, env.T - 1)])
+            want = features[min(t, env.T - 1)]
             assert np.array_equal(state[:want.size], want)
 
     def test_non_finite_action_rejected(self):
@@ -182,13 +184,13 @@ class TestStepPhysics:
         # their SINR must match the direct-channel oracle exactly
         env = make_env(baseline="conventional", seed=9)
         env.reset()
-        ch = env.channels[0]
+        D = env.channels.D[0]
         raw = np.random.default_rng(6).uniform(-1, 1, env.action_dim)
         design, [(_, _, phi_b)] = env.decode_action(raw)
         assert np.allclose(phi_b, 0.0)
         out = env.step(raw)
         for m in range(env.M):
-            oracle = naive_sinr(np.conj(ch.D[m]), design.K_s, design.K_w,
+            oracle = naive_sinr(np.conj(D[m]), design.K_s, design.K_w,
                                 m, env.noise_power)
             assert out.lu_rates[m] == pytest.approx(
                 np.log2(1 + oracle.real), rel=1e-10)

@@ -61,6 +61,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words")
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", "twelve"), ("seeds", "0,x"), ("geometry.eve", "a,b,c"),
+        ("geometry.lus", "1,2,3;4,5,z"),
+    ])
+    def test_unparsable_value_names_line_key_and_value(self, key, value):
+        text = f"# header\nL = 3\n{key} = {value}\n"
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"line 3: {key} = {value!r}: ")):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("geometry.eve", "150,150,3", "coincides with geometry.ris"),
+        ("geometry.lus", "1,2,3;1,2,3", "coincides with geometry.lus[0]"),
+        ("geometry.st", "1,2", "need three finite coordinates"),
+        ("geometry.bs", "0,0,nan", "need three finite coordinates"),
+    ])
+    def test_bad_geometry_rejected_at_load(self, key, value, why):
+        with pytest.raises(ConfigError, match=re.escape(why)):
+            parse_config(f"{key} = {value}\n")
+
     @pytest.mark.parametrize("bad", [
         dict(protocol="fdd"), dict(algorithm="ppo"), dict(baseline="ris"),
         dict(L=0), dict(seeds=()), dict(N=5, n_x=2),
@@ -289,6 +309,16 @@ class TestCli:
         assert ("runtime error: non-finite action at step 0: entry 3 is nan"
                 in capsys.readouterr().err)
 
+    def test_coincident_geometry_exit_two_names_keys(self, tmp_path, capsys):
+        # the default surface sits at 150,150,3
+        p = Path(self.write_cfg(tmp_path))
+        p.write_text(p.read_text() + "geometry.eve = 150,150,3\n")
+        rc = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert ("config error: geometry.eve = 150,150,3 coincides with "
+                "geometry.ris") in err
+
     def test_bad_config_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus_key = 1\n")
@@ -321,9 +351,3 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error: baseline" in capsys.readouterr().err
-
-    def test_bench_exit_zero(self, tmp_path, capsys):
-        rc = cli_main(["bench", "--config", self.write_cfg(tmp_path),
-                       "--episodes", "6"])
-        assert rc == 0
-        assert "ms/episode" in capsys.readouterr().out

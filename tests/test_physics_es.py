@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from star_isac.channel import ChannelRealization
 from star_isac.physics import (DegenerateFilterError, PhysicsError,
                                SensingParams, TransmitDesign,
                                echo_snr_lower_bound, effective_channels,
@@ -13,11 +12,11 @@ from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
 
 
 def make_channel(inst):
-    """Receivers stacked as users, Eve, target; unit amplitudes."""
-    return ChannelRealization(
-        slot=0, H_fading=inst["H"],
-        D_fading=np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
-        R_fading=np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
+    """(H, D, R) with receivers stacked as users, Eve, target; unit
+    amplitudes."""
+    return (inst["H"],
+            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
+            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
 
 
 def make_design(inst):
@@ -27,8 +26,8 @@ def make_design(inst):
 def es_channels(inst):
     """Effective channels of every receiver under the instance's ES
     surfaces (the oracle instances hold them as diagonal matrices)."""
-    ch = make_channel(inst)
-    return effective_channels(ch.D, ch.R, ch.H, np.diag(inst["phi_a"]),
+    H, D, R = make_channel(inst)
+    return effective_channels(D, R, H, np.diag(inst["phi_a"]),
                               np.diag(inst["phi_b"]))
 
 
@@ -127,7 +126,7 @@ class TestSecrecyRate:
         design = make_design(inst)
         sensing = SensingParams(tau=1.0, P=2, sigma_s2=0.5, kappa_t=1.0)
         period = (1.0, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))
-        lu, eve, st, echo = evaluate(make_channel(inst), [period], design,
+        lu, eve, st, echo = evaluate(*make_channel(inst), [period], design,
                                      1.0, sensing)
         r = np.log2(1 + sinrs(es_channels(inst), design, 1.0))
         M = r.shape[1]

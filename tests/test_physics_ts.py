@@ -3,7 +3,6 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from star_isac.channel import ChannelRealization
 from star_isac.physics import (SensingParams, TransmitDesign,
                                echo_snr_lower_bound, effective_channels,
                                evaluate, optimal_filter, rate, secrecy_rate)
@@ -15,11 +14,11 @@ SENSING = SensingParams(tau=1.3, P=5, sigma_s2=0.5, kappa_t=1.0)
 
 
 def make_channel(inst):
-    """Receivers stacked as users, Eve, target; unit amplitudes."""
-    return ChannelRealization(
-        slot=0, H_fading=inst["H"],
-        D_fading=np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
-        R_fading=np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
+    """(H, D, R) with receivers stacked as users, Eve, target; unit
+    amplitudes."""
+    return (inst["H"],
+            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
+            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
 
 
 def make_design(inst):
@@ -46,16 +45,17 @@ def random_ts_cfg(rng, N, pi_1=None):
 
 def ts_rates(ch, cfg, design, sigma2):
     """(LU, Eve, target) rates per user over the two TS periods."""
-    return evaluate(ch, ts_periods(*cfg), design, sigma2, SENSING)[:3]
+    return evaluate(*ch, ts_periods(*cfg), design, sigma2, SENSING)[:3]
 
 
 def ts_echo(ch, cfg, design, sensing):
-    return evaluate(ch, ts_periods(*cfg), design, 1.0, sensing)[3]
+    return evaluate(*ch, ts_periods(*cfg), design, 1.0, sensing)[3]
 
 
 def sensing_channels(ch, cfg):
     """The target's channel in each TS period."""
-    return [effective_channels(ch.D, ch.R, ch.H, phi_a, phi_b)[-1].conj()
+    H, D, R = ch
+    return [effective_channels(D, R, H, phi_a, phi_b)[-1].conj()
             for _, phi_a, phi_b in ts_periods(*cfg)]
 
 
@@ -84,7 +84,7 @@ class TestTsRates:
         cfg = TsParams(pi_1=0.0, phi_a=np.zeros(6), phi_b=np.zeros(6))
         r_lu, _, _ = ts_rates(ch, cfg, design, 1.0)
         unit = np.ones(6, complex)
-        es_equiv, _, _, _ = evaluate(ch, [(1.0, unit, unit)], design, 1.0,
+        es_equiv, _, _, _ = evaluate(*ch, [(1.0, unit, unit)], design, 1.0,
                                      SENSING)
         assert r_lu == pytest.approx(es_equiv, rel=1e-12)
 

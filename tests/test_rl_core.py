@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -118,6 +121,18 @@ class TestMlp:
         for a in (dup.flat, *dup.weights, *dup.biases):
             for b in (net.flat, net.grad):
                 assert not np.shares_memory(a, b)
+
+    def test_net_and_view_freed_without_garbage_collector(self):
+        # a reference cycle would keep the shared parameter vector alive
+        # until the next full collection
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(16))
+        refs = [weakref.ref(net), weakref.ref(net.through())]
+        gc.disable()
+        try:
+            del net
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_through_shares_parameters_not_gradients(self):
         rng = np.random.default_rng(15)

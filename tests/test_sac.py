@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from star_isac.rl_core import critic_mse
 from star_isac.sac import LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, SacAgent
 
 
@@ -129,13 +130,13 @@ class TestGradients:
         batch = random_batch(rng, n=16)
         eps = rng.standard_normal((16, 2))
         y = agent.soft_q_target(batch, eps=eps)
-        l1_before, _ = agent.critic_loss_and_grads(agent.critic1, batch, y)
-        l2_before, _ = agent.critic_loss_and_grads(agent.critic2, batch, y)
+        l1_before, _ = critic_mse(agent.critic1, batch, y)
+        l2_before, _ = critic_mse(agent.critic2, batch, y)
         agent.critic_update(batch, eps=eps)
         # targets move with the fresh action sample, so re-evaluate against
         # the frozen y
-        l1_after, _ = agent.critic_loss_and_grads(agent.critic1, batch, y)
-        l2_after, _ = agent.critic_loss_and_grads(agent.critic2, batch, y)
+        l1_after, _ = critic_mse(agent.critic1, batch, y)
+        l2_after, _ = critic_mse(agent.critic2, batch, y)
         assert l1_after < l1_before
         assert l2_after < l2_before
 

@@ -55,9 +55,9 @@ def run(name: str) -> dict:
     env = build_baseline(cfg, seed=1)
     agent = build_agent(cfg, env, seed=0)
     out = {k: [] for k in KEYS}
-    for rec in _trainer(cfg)(env, agent, cfg.episodes):
+    for step in _trainer(cfg)(env, agent, cfg.episodes):
         for k in KEYS:
-            out[k].append(float(rec[k]))
+            out[k].append(float(getattr(step, k)))
     return out
 
 

@@ -100,8 +100,8 @@ def probe_values(algorithm: str) -> list:
     env = build_baseline(cfg, seed=1)
     agent = build_agent(cfg, env, seed=0)
     returns = np.zeros(cfg.episodes)
-    for rec in _trainer(cfg)(env, agent, cfg.episodes):
-        returns[rec["episode"]] += rec["reward"]
+    for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
+        returns[i // cfg.T] += out.reward
     values = list(returns) + _state_values(agent)
     rng = np.random.default_rng(0)
     for env_cfg in probe_env_configs():
