@@ -8,8 +8,8 @@ from .env import SecureIsacEnv
 from .experiments import ScenarioConfig, run_scenario, sweep
 from .physics import (SensingParams, StepOutcome, TransmitDesign,
                       echo_snr_lower_bound, effective_channels, evaluate,
-                      optimal_filter, project_power, reward, secrecy_rate,
-                      sinrs)
+                      evaluate_conjugated, matched_echo_snr, optimal_filter,
+                      project_power, reward, score, secrecy_rate, sinrs)
 from .star_ris import (SURFACES, decode, es_coefficients, es_power_split,
                        ts_periods)
 
@@ -21,7 +21,8 @@ __all__ = [
     "ScenarioConfig", "run_scenario", "sweep",
     "SensingParams", "StepOutcome", "TransmitDesign",
     "echo_snr_lower_bound", "effective_channels", "evaluate",
-    "optimal_filter", "project_power", "reward", "secrecy_rate", "sinrs",
+    "evaluate_conjugated", "matched_echo_snr", "optimal_filter",
+    "project_power", "reward", "score", "secrecy_rate", "sinrs",
     "SURFACES", "decode", "es_coefficients", "es_power_split", "ts_periods",
 ]
 

@@ -9,7 +9,10 @@ and returns the links as one ``EpisodeChannels`` record of (T, ...)
 stacks; slot t is index t of each stack. Within a stream the order is:
 per slot, per receiver, the link's real parts, then its imaginary parts.
 This is the order in which a per-slot loop would draw them, so a seed
-gives the same channels whichever way they are drawn.
+gives the same channels whichever way they are drawn. What the fixed
+geometry determines, the path-loss amplitudes and the BS->RIS LoS term,
+is a ``LinkConstants`` record that a caller drawing many episodes
+computes once.
 """
 from __future__ import annotations
 
@@ -169,14 +172,26 @@ def rician_channel(params: FadingParams, loss_db: float, T: int, N: int,
     """T x N x L stack of Rician matrices, one per slot: the rank-1 LoS
     outer product, formed once, plus i.i.d. NLoS, scaled by the linear
     amplitude of the loss."""
+    los = _los_term(params, N, L, beta_b, beta_r, zeta_r)
+    return loss_db_to_amplitude(loss_db) * _rician_mix(params, los, T, rng)
+
+
+def _los_term(params: FadingParams, N: int, L: int, beta_b: float,
+              beta_r: float, zeta_r: float) -> np.ndarray:
+    """sqrt(F/(F+1)) times the rank-1 LoS outer product, N x L."""
     F = params.rician_factor
     lam = params.wavelength
     f_r = steering_ris(N, beta_r, zeta_r, lam / 2.0, lam, params.n_x)
     f_b = steering_bs(L, beta_b, lam / 2.0, lam)
-    los = np.outer(f_r, f_b)
-    nlos = _cn_samples((T,), (N, L), rng)
-    mix = np.sqrt(F / (F + 1.0)) * los + np.sqrt(1.0 / (F + 1.0)) * nlos
-    return loss_db_to_amplitude(loss_db) * mix
+    return np.sqrt(F / (F + 1.0)) * np.outer(f_r, f_b)
+
+
+def _rician_mix(params: FadingParams, los: np.ndarray, T: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """T unit-power Rician draws around the weighted LoS term ``los``."""
+    F = params.rician_factor
+    nlos = _cn_samples((T,), los.shape, rng)
+    return los + np.sqrt(1.0 / (F + 1.0)) * nlos
 
 
 def geometry_angles(geometry: SystemGeometry):
@@ -218,32 +233,57 @@ def link_loss_table(geometry: SystemGeometry, params: FadingParams) -> dict:
     return table
 
 
+@dataclass(frozen=True)
+class LinkConstants:
+    """The parts of every episode's links that the geometry and the
+    fading parameters fix: the weighted LoS term of BS->RIS and each
+    link's path-loss amplitude, receivers stacked as users, Eve,
+    target."""
+
+    los: np.ndarray               # N x L, sqrt(F/(F+1)) f_r f_b^T
+    H_amp: float
+    D_amp: np.ndarray             # (M+2) x 1
+    R_amp: np.ndarray             # (M+2) x 1
+
+
+def link_constants(geometry: SystemGeometry, params: FadingParams, L: int,
+                   N: int) -> LinkConstants:
+    """The ``LinkConstants`` of a geometry, fading parameters, L and N."""
+    losses = link_loss_table(geometry, params)
+
+    def column(*losses_db):
+        return np.array([[loss_db_to_amplitude(x)] for x in losses_db])
+
+    return LinkConstants(
+        los=_los_term(params, N, L, *geometry_angles(geometry)),
+        H_amp=loss_db_to_amplitude(losses["bs_ris"]),
+        D_amp=column(*losses["bs_lu"], losses["bs_eve"], losses["bs_st"]),
+        R_amp=column(*losses["ris_lu"], losses["ris_eve"], losses["ris_st"]))
+
+
 def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
-                              L: int, N: int, T: int, seed) -> EpisodeChannels:
+                              L: int, N: int, T: int, seed,
+                              links: LinkConstants | None = None
+                              ) -> EpisodeChannels:
     """An independent channel draw per slot, for all T slots at once.
 
     BS->RIS is Rician; all other links are NLoS-only Rayleigh with their
     own path loss. Channel draws per link come from independent child
     streams of the given seed, one draw per stream for the whole episode
-    (see the module docstring for the order).
+    (see the module docstring for the order). ``links`` is
+    ``link_constants`` of the same geometry, parameters, L and N, formed
+    here when not given.
     """
     if T < 1:
         raise ChannelError("T must be >= 1")
     M = geometry.num_users
-    losses = link_loss_table(geometry, params)
-    beta_b, beta_r, zeta_r = geometry_angles(geometry)
+    if links is None:
+        links = link_constants(geometry, params, L, N)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     streams = {name: np.random.default_rng(child)
                for name, child in zip(_LINK_ORDER, ss.spawn(len(_LINK_ORDER)))}
-
-    def column(*losses_db):
-        return np.array([[loss_db_to_amplitude(x)] for x in losses_db])
-
-    H_amp = loss_db_to_amplitude(losses["bs_ris"])
-    D_amp = column(*losses["bs_lu"], losses["bs_eve"], losses["bs_st"])
-    R_amp = column(*losses["ris_lu"], losses["ris_eve"], losses["ris_st"])
 
     def receivers(n, users, eve, target):
         """T x (M+2) x n links of the users, Eve and the target."""
@@ -252,9 +292,9 @@ def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
                                _cn_samples((T, 1), (n,), streams[target])],
                               axis=1)
 
-    H_fading = rician_channel(
-        params, 0.0, T, N, L, beta_b, beta_r, zeta_r, streams["bs_ris"])
+    H_fading = _rician_mix(params, links.los, T, streams["bs_ris"])
     D_fading = receivers(L, "bs_lu", "bs_eve", "bs_st")
     R_fading = receivers(N, "ris_lu", "ris_eve", "ris_st")
-    return EpisodeChannels(H_fading, D_fading, R_fading, H_amp * H_fading,
-                           D_amp * D_fading, R_amp * R_fading)
+    return EpisodeChannels(H_fading, D_fading, R_fading,
+                           links.H_amp * H_fading, links.D_amp * D_fading,
+                           links.R_amp * R_fading)

@@ -41,6 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_seeds(text: str) -> tuple:
+    seeds = []
+    for place, entry in enumerate(text.split(","), 1):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--seeds {text!r}: entry {place}, {entry!r}, "
+                              "is not an integer") from None
+    return tuple(seeds)
+
+
 def resolve_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     updates = {}
@@ -51,7 +62,7 @@ def resolve_config(args) -> ScenarioConfig:
     if args.baseline:
         updates["baseline"] = args.baseline
     if args.seeds:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        updates["seeds"] = _parse_seeds(args.seeds)
     if args.episodes is not None:
         updates["episodes"] = args.episodes
     return replace(cfg, **updates) if updates else cfg

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, critic_mse,
-                      soft_update)
+from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
+                      critic_mse, soft_update)
 
 
 class DdpgAgent:
@@ -102,8 +102,8 @@ class DdpgAgent:
         if len(self.buffer) < 10 * self.batch_size:
             return
         batch = self.buffer.sample(self.batch_size, self.rng)
-        self.critic_update(batch)
-        self.actor_update(batch)
+        check_losses({"critic loss": self.critic_update(batch),
+                      "actor objective": self.actor_update(batch)})
         self.update_targets()
 
 

@@ -8,11 +8,13 @@ Receive filters are never part of the action.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import physics, star_ris
 from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
-                      generate_episode_channels)
+                      generate_episode_channels, link_constants)
 from .physics import SensingParams, StepOutcome
 
 
@@ -65,17 +67,20 @@ class SecureIsacEnv:
         _, per_element, extra = star_ris.SURFACES[variant, mode]
         self.ris_action_dim = per_element * N + extra
         self._seed_seq = np.random.SeedSequence(seed)
+        self._links = link_constants(geometry, fading, L, N)
         self._beam_len = 2 * L * (L + self.M)
-        # per-entry magnitude caps for the beam coordinates: most of the
-        # budget goes to the M communication columns, a smaller share to
-        # the L radar/artificial-noise columns. With equal caps the L
-        # noise columns would dwarf the users' streams with self-made
-        # interference for almost every action, leaving the per-user
-        # rate floor unreachable in practice.
-        self._beam_scale_s = np.sqrt(0.8 * p_max / (L * self.M))
-        self._beam_scale_w = np.sqrt(0.2 * p_max / (L * L))
+        # per-entry magnitude caps for the beam coordinates, one per
+        # column: most of the budget goes to the M communication columns,
+        # a smaller share to the L radar/artificial-noise columns. With
+        # equal caps the L noise columns would dwarf the users' streams
+        # with self-made interference for almost every action, leaving
+        # the per-user rate floor unreachable in practice.
+        self._beam_scale = np.repeat(
+            [np.sqrt(0.8 * p_max / (L * self.M)),
+             np.sqrt(0.2 * p_max / (L * L))], [self.M, L])
         self.channels = None
         self._features = None
+        self._D_conj = self._R_conj = None
         self.t = 0
         self._prev_action = np.zeros(self.action_dim)
         self._prev_reward = 0.0
@@ -95,8 +100,11 @@ class SecureIsacEnv:
     def reset(self) -> np.ndarray:
         episode_seed = self._seed_seq.spawn(1)[0]
         self.channels = generate_episode_channels(
-            self.geometry, self.fading, self.L, self.N, self.T, episode_seed)
+            self.geometry, self.fading, self.L, self.N, self.T, episode_seed,
+            self._links)
         self._features = state_features(self.channels)
+        self._D_conj = self.channels.D.conj()
+        self._R_conj = self.channels.R.conj()
         self.t = 0
         self._prev_action = np.zeros(self.action_dim)
         self._prev_reward = 0.0
@@ -117,10 +125,11 @@ class SecureIsacEnv:
         if raw.size != self.action_dim:
             raise EnvError(f"action length {raw.size} != {self.action_dim}")
         nb = self._beam_len // 2
+        # column-major: the products with K must run in this layout, as a
+        # row-major copy of K moves the last bits of the rates
         K_raw = (raw[:nb] + 1j * raw[nb:self._beam_len]).reshape(
             self.L, self.L + self.M, order="F")
-        K_raw[:, :self.M] *= self._beam_scale_s
-        K_raw[:, self.M:] *= self._beam_scale_w
+        K_raw *= self._beam_scale
         design = physics.project_power(K_raw, self.M, self.p_max)
         return design, star_ris.decode(self.variant, self.mode,
                                        raw[self._beam_len:])
@@ -132,36 +141,28 @@ class SecureIsacEnv:
         if self.t >= self.T:
             raise EnvError("episode finished; call reset()")
         raw = np.asarray(raw_action, float)
-        finite = np.isfinite(raw)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise EnvError(f"non-finite action at step {self.t}: "
-                           f"entry {bad} is {raw[bad]}")
-        raw = np.clip(raw, -1.0, 1.0)
+        # any NaN or inf entry makes raw.raw non-finite, and so does an
+        # overflow of finite entries: only then are the entries searched
+        if not math.isfinite(np.vdot(raw, raw)):
+            finite = np.isfinite(raw)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise EnvError(f"non-finite action at step {self.t}: "
+                               f"entry {bad} is {raw[bad]}")
+        # np.clip on finite input, without its Python-level overhead
+        raw = np.maximum(raw, -1.0)
+        np.minimum(raw, 1.0, out=raw)
         design, periods = self.decode_action(raw)
-        ch, t = self.channels, self.t
-        lu, eve, st, echo = physics.evaluate(
-            ch.H[t], ch.D[t], ch.R[t], periods, design, self.noise_power,
-            self.sensing)
-        sec = physics.secrecy_rate(lu, eve, st)
-        sum_sec = float(sec.sum())
-        r = physics.reward(echo, lu, sum_sec, self.r_min, self.sensing.kappa_t)
+        t = self.t
+        lu, eve, st, echo = physics.evaluate_conjugated(
+            self.channels.H[t], self._D_conj[t], self._R_conj[t], periods,
+            design, self.noise_power, self.sensing)
+        out = physics.score(lu, eve, st, echo, self.r_min,
+                            self.sensing.kappa_t)
 
         self.t += 1
-        done = self.t >= self.T
+        out.done = self.t >= self.T
         self._prev_action = raw
-        self._prev_reward = r
-        next_state = self._state(self.t)
-        return StepOutcome(
-            reward=r,
-            lu_rates=lu,
-            eve_rates=eve,
-            st_rates=st,
-            secrecy_rates=sec,
-            sum_secrecy_rate=sum_sec,
-            echo_snr=echo,
-            snr_feasible=echo > self.sensing.kappa_t,
-            rate_feasible=bool(np.all(lu >= self.r_min)),
-            next_state=next_state,
-            done=done,
-        )
+        self._prev_reward = out.reward
+        out.next_state = self._state(self.t)
+        return out

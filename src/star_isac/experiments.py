@@ -23,6 +23,7 @@ from . import ddpg, sac, star_ris
 from .channel import FadingParams, SystemGeometry, db_to_linear, dbm_to_watt
 from .env import SecureIsacEnv
 from .physics import SensingParams
+from .rl_core import NonFiniteLoss
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
 
@@ -308,20 +309,26 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     episode_ms = []
     t0 = time.perf_counter()
     value_columns = episode_columns(cfg.M)[4:-2]
-    for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
-        episode, step = divmod(i, cfg.T)
-        if step == 0 and episode:
-            now = time.perf_counter()
-            episode_ms.append((now - t0) * 1e3)
-            t0 = now
-        row = [sid, seed, episode, step, out.reward, out.sum_secrecy_rate,
-               *out.lu_rates, out.echo_snr, int(out.snr_feasible),
-               int(out.rate_feasible)]
-        for name, value in zip(value_columns, row[4:-2]):
-            if not math.isfinite(value):
-                raise RunError(f"non-finite {name} ({value}) at episode "
-                               f"{episode}, step {step}")
-        rows.append(row)
+    try:
+        for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
+            episode, step = divmod(i, cfg.T)
+            if step == 0 and episode:
+                now = time.perf_counter()
+                episode_ms.append((now - t0) * 1e3)
+                t0 = now
+            row = [sid, seed, episode, step, out.reward,
+                   out.sum_secrecy_rate, *out.lu_rates, out.echo_snr,
+                   int(out.snr_feasible), int(out.rate_feasible)]
+            for name, value in zip(value_columns, row[4:-2]):
+                if not math.isfinite(value):
+                    raise RunError(f"non-finite {name} ({value}) at "
+                                   f"episode {episode}, step {step}")
+            rows.append(row)
+    except NonFiniteLoss as exc:
+        # the update after step len(rows) raised it, before that step's
+        # record came out
+        episode, step = divmod(len(rows), cfg.T)
+        raise RunError(f"{exc} at episode {episode}, step {step}") from exc
     episode_ms.append((time.perf_counter() - t0) * 1e3)
     return rows, episode_ms
 

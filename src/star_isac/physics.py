@@ -6,18 +6,27 @@ Every receiver k sees the effective channel h_k^H = r_k^H diag(phi) H +
 d_k^H, where phi is the surface on its side: Phi_B for the users and
 Eve, Phi_A for the sensing target. ``effective_channels`` stacks all
 M+2 rows at once, and one |h^H K|^2 matrix gives every SINR: user m
-reads entry [m, m], Eve row M and the target row M+1. A surface state is
-a list of (weight, Phi_A, Phi_B) periods with length-N coefficient
-vectors: ES and the single-surface baselines have one period of weight
-1, TS has two (see ``star_ris.ts_periods``). Rates and the echo SNR are
-the weighted sums over periods.
+reads entry [m, m], Eve row M and the target row M+1. The beamformers
+are one L x (M+L) matrix K, M communication columns then L radar
+columns (``TransmitDesign``). A surface state is a list of (weight,
+Phi_A, Phi_B) periods with length-N coefficient vectors: ES and the
+single-surface baselines have one period of weight 1, TS has two (see
+``star_ris.ts_periods``). Rates and the echo SNR are the weighted sums
+over periods.
+
+``evaluate`` scores a slot from its links; ``evaluate_conjugated`` does
+the same from the conjugated receiver links d_k^H and r_k^H, which a
+caller scoring many slots of one channel draw conjugates once. ``score``
+turns a slot's rates and echo SNR into the step's record.
 
 Rates are log2 (bps/Hz). SINR/SNR values and the echo threshold are
-linear; dB conversion happens once at config load.
+linear; dB conversion happens once at config load. Reductions call
+``np.add.reduce`` directly: the reduction ``np.sum`` runs, without its
+Python-level dispatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +42,24 @@ class DegenerateFilterError(PhysicsError):
 
 @dataclass
 class TransmitDesign:
-    """BS beamformers: M communication columns K_s and L radar columns
-    K_w, stacked once as K = [K_s K_w] of shape L x (M+L)."""
+    """BS beamformers K = [K_s K_w] of shape L x (M+L): M communication
+    columns K_s, then L radar columns K_w. K is kept as built, and K_s
+    and K_w are views of it."""
 
-    K_s: np.ndarray
-    K_w: np.ndarray
-    K: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray
+    M: int
 
-    def __post_init__(self):
-        self.K = np.concatenate([self.K_s, self.K_w], axis=1)
+    @classmethod
+    def from_columns(cls, K_s: np.ndarray, K_w: np.ndarray) -> "TransmitDesign":
+        return cls(np.concatenate([K_s, K_w], axis=1), K_s.shape[1])
+
+    @property
+    def K_s(self) -> np.ndarray:
+        return self.K[:, :self.M]
+
+    @property
+    def K_w(self) -> np.ndarray:
+        return self.K[:, self.M:]
 
 
 @dataclass(frozen=True)
@@ -80,10 +98,15 @@ def effective_channels(D: np.ndarray, R: np.ndarray, H: np.ndarray,
                        phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     """Rows h_k^H = r_k^H diag(phi) H + d_k^H of all M+2 receivers, as an
     (M+2) x L matrix: side-B rows read phi_b, the target row reads phi_a."""
-    phi = np.empty(R.shape, complex)
-    phi[:-1] = phi_b
-    phi[-1] = phi_a
-    return (R.conj() * phi) @ H + D.conj()
+    return _effective_rows(D.conj(), R.conj(), H, phi_a, phi_b)
+
+
+def _effective_rows(D_conj, R_conj, H, phi_a, phi_b):
+    """``effective_channels`` from the conjugated links."""
+    cascade = np.empty(R_conj.shape, complex)
+    np.multiply(R_conj[:-1], phi_b, out=cascade[:-1])
+    np.multiply(R_conj[-1], phi_a, out=cascade[-1])
+    return cascade @ H + D_conj
 
 
 def sinrs(h_eff: np.ndarray, design: TransmitDesign,
@@ -92,12 +115,16 @@ def sinrs(h_eff: np.ndarray, design: TransmitDesign,
     receiver k, all read off one |h^H K|^2 matrix."""
     if sigma2 <= 0:
         raise PhysicsError("noise variance must be positive")
-    M = design.K_s.shape[1]
-    power = np.abs(h_eff @ design.K) ** 2
+    M = design.M
+    power = np.abs(h_eff @ design.K)
+    np.square(power, out=power)
     streams = power[:, :M]
-    interference = (streams.sum(axis=1, keepdims=True) - streams
-                    + power[:, M:].sum(axis=1, keepdims=True))
-    return streams / (interference + sigma2)
+    # (all streams - own stream + radar columns) + noise, in this order:
+    # the order of the sums fixes the last bits of every SINR
+    interference = np.add.reduce(streams, axis=1, keepdims=True) - streams
+    interference += np.add.reduce(power[:, M:], axis=1, keepdims=True)
+    interference += sigma2
+    return np.divide(streams, interference, out=interference)
 
 
 def rate(sinr):
@@ -121,19 +148,7 @@ def echo_snr_lower_bound(g_s: np.ndarray, design: TransmitDesign,
     H_s = g_s g_s^H; block structure is exploited instead of forming the
     Kronecker product.
     """
-    u = np.asarray(u).reshape(-1)
-    nrm = np.vdot(u, u).real
-    if nrm == 0.0:
-        raise PhysicsError("receive filter must be nonzero")
-    K = design.K
-    L = K.shape[0]
-    U = u.reshape(L, -1, order="F")
-    if U.shape[1] != K.shape[1]:
-        raise PhysicsError("filter length must be L*(M+L)")
-    # u^H (I (x) H_s) k = sum_c u_c^H g_s g_s^H k_c
-    val = np.sum(U.conj().T @ g_s * (g_s.conj() @ K))
-    num = sensing.P * sensing.tau ** 2 * np.abs(val) ** 2
-    return float(num / (sensing.sigma_s2 * nrm))
+    return _jensen_bound(g_s, design.K, np.asarray(u).reshape(-1), sensing)
 
 
 def optimal_filter(g_s: np.ndarray, design: TransmitDesign) -> np.ndarray:
@@ -142,14 +157,44 @@ def optimal_filter(g_s: np.ndarray, design: TransmitDesign) -> np.ndarray:
     Direction (I (x) H_s) k; the paper's normalization by
     k^H (I (x) H_s^H H_s) k only rescales and the SNR is scale-invariant.
     """
-    K = design.K
-    # (I (x) H_s) k stacks H_s k_c per column; H_s = g g^H
-    cols = np.outer(g_s, g_s.conj() @ K)  # L x (M+L), col c = g (g^H k_c)
-    u = cols.reshape(-1, order="F")
+    return _filter(g_s, g_s.conj() @ design.K)
+
+
+def matched_echo_snr(g_s: np.ndarray, design: TransmitDesign,
+                     sensing: SensingParams) -> float:
+    """``echo_snr_lower_bound`` at ``optimal_filter``, the two sharing
+    the beam gains g_s^H K. Raises ``DegenerateFilterError`` where the
+    filter has no direction."""
+    gain = g_s.conj() @ design.K
+    return _jensen_bound(g_s, design.K, _filter(g_s, gain), sensing, gain)
+
+
+def _filter(g_s, gain):
+    """The closed-form filter for gain = g_s^H K."""
+    # (I (x) H_s) k stacks H_s k_c = g (g^H k_c) over the columns c of K;
+    # row c of this (M+L) x L product is block c of u
+    u = (g_s * gain[:, None]).reshape(-1)
     denom = np.vdot(u, u).real
     if denom < 1e-300:
         raise DegenerateFilterError("beamformer orthogonal to sensing channel")
     return u / denom
+
+
+def _jensen_bound(g_s, K, u, sensing, gain=None):
+    """The bound for a flat filter u; gain = g_s^H K if already formed."""
+    nrm = np.vdot(u, u).real
+    if nrm == 0.0:
+        raise PhysicsError("receive filter must be nonzero")
+    L = K.shape[0]
+    U = u.reshape(L, -1, order="F")
+    if U.shape[1] != K.shape[1]:
+        raise PhysicsError("filter length must be L*(M+L)")
+    if gain is None:
+        gain = g_s.conj() @ K
+    # u^H (I (x) H_s) k = sum_c u_c^H g_s g_s^H k_c
+    val = np.add.reduce(U.conj().T @ g_s * gain)
+    num = sensing.P * sensing.tau ** 2 * np.abs(val) ** 2
+    return float(num / (sensing.sigma_s2 * nrm))
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +208,25 @@ def evaluate(H: np.ndarray, D: np.ndarray, R: np.ndarray, periods,
     (weight, Phi_A, Phi_B) periods. The echo SNR of a period is taken at
     its closed-form filter, and is 0 where the target's channel is
     degenerate."""
-    lu = eve = st = echo = 0.0
+    return evaluate_conjugated(H, D.conj(), R.conj(), periods, design,
+                               sigma2, sensing)
+
+
+def evaluate_conjugated(H: np.ndarray, D_conj: np.ndarray,
+                        R_conj: np.ndarray, periods, design: TransmitDesign,
+                        sigma2: float, sensing: SensingParams):
+    """``evaluate`` from the conjugated links D^* and R^*."""
+    M = design.M
+    rates = echo = 0.0
     for weight, phi_a, phi_b in periods:
-        h_eff = effective_channels(D, R, H, phi_a, phi_b)
-        r = rate(sinrs(h_eff, design, sigma2))
-        M = r.shape[1]
-        lu = lu + weight * r.diagonal()
-        eve = eve + weight * r[M]
-        st = st + weight * r[M + 1]
-        g_s = h_eff[M + 1].conj()
+        h_eff = _effective_rows(D_conj, R_conj, H, phi_a, phi_b)
+        rates = rates + weight * rate(sinrs(h_eff, design, sigma2))
         try:
-            u = optimal_filter(g_s, design)
+            echo += weight * matched_echo_snr(h_eff[M + 1].conj(), design,
+                                              sensing)
         except DegenerateFilterError:
-            continue
-        echo += weight * echo_snr_lower_bound(g_s, design, u, sensing)
-    return lu, eve, st, echo
+            pass
+    return rates.diagonal().copy(), rates[M], rates[M + 1], echo
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +234,13 @@ def evaluate(H: np.ndarray, D: np.ndarray, R: np.ndarray, periods,
 
 def project_power(K_raw: np.ndarray, M: int, P_0: float) -> TransmitDesign:
     """Scale K down onto the total-power ball trace(K K^H) <= P_0;
-    directions are preserved."""
+    directions are preserved. Within the budget the design holds K_raw
+    itself."""
     if P_0 <= 0:
         raise PhysicsError("power budget must be positive")
-    tr = np.sum(np.abs(K_raw) ** 2)
+    tr = np.add.reduce(np.abs(K_raw) ** 2, axis=None)
     K = K_raw if tr <= P_0 else K_raw * np.sqrt(P_0 / tr)
-    return TransmitDesign(K_s=K[:, :M], K_w=K[:, M:])
+    return TransmitDesign(K, M)
 
 
 def reward(echo_snr: float, lu_rates: np.ndarray, sum_secrecy: float,
@@ -201,10 +251,37 @@ def reward(echo_snr: float, lu_rates: np.ndarray, sum_secrecy: float,
     sensing is satisfied it rewards meeting every per-user rate floor
     and then the sum secrecy rate on top.
     """
+    lu_rates = np.asarray(lu_rates, float)
+    return _shaped_reward(echo_snr, lu_rates, sum_secrecy, R_0, kappa_t,
+                          bool(np.all(lu_rates >= R_0)))
+
+
+def _shaped_reward(echo_snr, lu_rates, sum_secrecy, R_0, kappa_t, rates_met):
     if echo_snr <= kappa_t:
         return float(echo_snr)
-    lu_rates = np.asarray(lu_rates, float)
-    M = lu_rates.size
-    if np.all(lu_rates >= R_0):
-        return float(kappa_t + M * R_0 + sum_secrecy)
+    if rates_met:
+        return float(kappa_t + lu_rates.size * R_0 + sum_secrecy)
     return float(kappa_t + np.minimum(lu_rates, R_0).sum())
+
+
+def score(lu_rates: np.ndarray, eve_rates: np.ndarray, st_rates: np.ndarray,
+          echo_snr: float, R_0: float, kappa_t: float) -> StepOutcome:
+    """The step record of one slot's rates and echo SNR, without the next
+    state: hinge secrecy rates, their sum, the reward and both
+    feasibility flags. The rate floors are tested once, for the flag and
+    the reward alike."""
+    sec = secrecy_rate(lu_rates, eve_rates, st_rates)
+    sum_sec = float(sec.sum())
+    rates_met = bool((lu_rates >= R_0).all())
+    return StepOutcome(
+        reward=_shaped_reward(echo_snr, lu_rates, sum_sec, R_0, kappa_t,
+                              rates_met),
+        lu_rates=lu_rates,
+        eve_rates=eve_rates,
+        st_rates=st_rates,
+        secrecy_rates=sec,
+        sum_secrecy_rate=sum_sec,
+        echo_snr=echo_snr,
+        snr_feasible=echo_snr > kappa_t,
+        rate_feasible=rates_met,
+    )

@@ -9,6 +9,8 @@ parameter-sized temporaries.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # elements per slice of the flat vectors that Adam and soft_update walk
@@ -21,6 +23,18 @@ _SCRATCH = np.empty((2, CHUNK))
 
 class RlError(ValueError):
     pass
+
+
+class NonFiniteLoss(ArithmeticError):
+    """A learner's loss came out NaN or infinite."""
+
+
+def check_losses(losses: dict) -> None:
+    """Raise ``NonFiniteLoss`` naming the first non-finite value of
+    {name: loss}."""
+    for name, value in losses.items():
+        if not math.isfinite(value):
+            raise NonFiniteLoss(f"non-finite {name} ({value})")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, critic_mse,
-                      soft_update)
+from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
+                      critic_mse, soft_update)
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -207,8 +207,11 @@ class SacAgent:
         if len(self.buffer) < 10 * self.batch_size:
             return
         batch = self.buffer.sample(self.batch_size, self.rng)
-        self.critic_update(batch)
-        _, log_prob = self.policy_update(batch)
+        critic1_loss, critic2_loss = self.critic_update(batch)
+        policy_loss, log_prob = self.policy_update(batch)
+        check_losses({"critic 1 loss": critic1_loss,
+                      "critic 2 loss": critic2_loss,
+                      "policy loss": policy_loss})
         self.temperature_update(log_prob)
         self.update_targets()
 

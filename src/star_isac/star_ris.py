@@ -15,7 +15,11 @@ in [-1, 1] onto a feasible surface by construction:
   side are reached via the direct BS links only.
 
 ``es_coefficients`` and ``ts_periods`` build the STAR surfaces from
-physical parameters, for the decoders and for direct use alike.
+physical parameters; the STAR decoders share their code. Each decoder
+runs only the elementwise operations of its formulas, in place where it
+can: the two ES surfaces are the rows of one array, and the STAR
+decoders form exp(j x) as ``exp`` of a zero array whose imaginary part
+holds x.
 """
 from __future__ import annotations
 
@@ -24,8 +28,16 @@ import numpy as np
 
 def wrap_pi(phi: np.ndarray) -> np.ndarray:
     """Wrap angles to (-pi, pi]."""
-    out = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(out == -np.pi, np.pi, out)
+    return _wrap_pi_inplace(np.array(phi, dtype=float))
+
+
+def _wrap_pi_inplace(phi: np.ndarray) -> np.ndarray:
+    """``wrap_pi`` written into its own (float) argument."""
+    phi += np.pi
+    np.mod(phi, 2.0 * np.pi, out=phi)
+    phi -= np.pi
+    phi[phi == -np.pi] = np.pi
+    return phi
 
 
 def es_power_split(theta: np.ndarray):
@@ -35,22 +47,51 @@ def es_power_split(theta: np.ndarray):
     point (one side always lands in the Sterbenz-exact subtraction
     region).
     """
-    b_sq = 1.0 - (1.0 - np.sin(theta) ** 2)
-    return 1.0 - b_sq, b_sq
+    split = np.empty((2, *np.shape(theta)))
+    _power_split_into(split, theta)
+    return split[0], split[1]
+
+
+def _power_split_into(split: np.ndarray, theta) -> None:
+    """``es_power_split`` written into split[0] and split[1]."""
+    b_sq = np.sin(theta, out=split[1, ...])
+    np.square(b_sq, out=b_sq)
+    np.subtract(1.0, b_sq, out=b_sq)
+    np.subtract(1.0, b_sq, out=b_sq)
+    np.subtract(1.0, b_sq, out=split[0, ...])
 
 
 def es_coefficients(theta: np.ndarray, phi_b: np.ndarray, sign: np.ndarray):
     """ES per-element coefficients (Phi_A, Phi_B), |A|^2 + |B|^2 = 1:
     theta in [0, pi/2] splits the energy, and phi_A = phi_B + sign*pi/2
     with sign = +-1."""
-    phi_b = wrap_pi(phi_b)
-    a_sq, b_sq = es_power_split(theta)
-    return (np.sqrt(a_sq) * np.exp(1j * wrap_pi(phi_b + sign * np.pi / 2.0)),
-            np.sqrt(b_sq) * np.exp(1j * phi_b))
+    theta, phi_b, sign = np.broadcast_arrays(theta, phi_b, sign)
+    return _es_pair(theta, np.array(phi_b, dtype=float),
+                    np.multiply(sign, np.pi) / 2.0)
+
+
+def _es_pair(theta, phi_b, quarter):
+    """(Phi_A, Phi_B) for phase phi_b and the signed quarter turn
+    ``quarter`` from phi_B to phi_A. The two surfaces are the rows of
+    one 2 x N array, so that one sqrt, exp and product serve both."""
+    split = np.empty((2, *phi_b.shape))
+    _power_split_into(split, theta)
+    # the phases are written into the imaginary part of a zero array,
+    # which exp then turns into exp(j phase) in place
+    coef = np.zeros(split.shape, complex)
+    phase = coef.imag
+    phase[1] = phi_b
+    _wrap_pi_inplace(phase[1, ...])
+    np.add(phase[1], quarter, out=phase[0, ...])
+    _wrap_pi_inplace(phase[0, ...])
+    np.exp(coef, out=coef)
+    np.multiply(np.sqrt(split), coef, out=coef)
+    return coef[0], coef[1]
 
 
 def ts_periods(pi_1: float, phi_a: np.ndarray, phi_b: np.ndarray) -> list:
-    """The TS protocol as (weight, Phi_A, Phi_B) periods, pi_1 in [0, 1].
+    """The TS protocol as (weight, Phi_A, Phi_B) periods, pi_1 in [0, 1]
+    and phi_a, phi_b of one length N.
 
     Convention: the surface is dark for pi_1, where every receiver sees
     only its direct link, and serves both sides for pi_2 = 1 - pi_1, the
@@ -61,33 +102,46 @@ def ts_periods(pi_1: float, phi_a: np.ndarray, phi_b: np.ndarray) -> list:
     users see only their direct links; this model has not been checked
     against that reading.
     """
-    dark = np.zeros(np.size(phi_a))
-    return [(pi_1, dark, dark),
-            (1.0 - pi_1, np.exp(1j * np.mod(phi_a, 2.0 * np.pi)),
-             np.exp(1j * np.mod(phi_b, 2.0 * np.pi)))]
+    faces = np.zeros(2 * np.size(phi_a), complex)
+    faces.imag = np.concatenate([np.ravel(phi_a), np.ravel(phi_b)])
+    return _ts_periods(pi_1, faces)
+
+
+def _ts_periods(pi_1: float, faces: np.ndarray) -> list:
+    """``ts_periods`` from j*[phi_a, phi_b], a complex array with zero
+    real part, which becomes [Phi_A^TS, Phi_B^TS] in place."""
+    n = faces.size // 2
+    angle = faces.imag
+    np.mod(angle, 2.0 * np.pi, out=angle)
+    np.exp(faces, out=faces)
+    dark = np.zeros(n)
+    return [(pi_1, dark, dark), (1.0 - pi_1, faces[:n], faces[n:])]
 
 
 # ---- decoders: raw slice in [-1, 1] -> periods --------------------------
 
 def _star_es(raw: np.ndarray) -> list:
     n = raw.size // 3
-    return [(1.0, *es_coefficients((raw[:n] + 1.0) * np.pi / 4.0,
-                                   raw[n:2 * n] * np.pi,
-                                   np.where(raw[2 * n:] >= 0.0, 1.0, -1.0)))]
+    theta = raw[:n] + 1.0
+    theta *= np.pi / 4.0
+    return [(1.0, *_es_pair(theta, raw[n:2 * n] * np.pi,
+                            np.where(raw[2 * n:] >= 0.0, np.pi / 2.0,
+                                     -np.pi / 2.0)))]
 
 
 def _star_ts(raw: np.ndarray) -> list:
-    n = (raw.size - 1) // 2
-    return ts_periods(float((raw[0] + 1.0) / 2.0), (raw[1:n + 1] + 1.0) * np.pi,
-                      (raw[n + 1:] + 1.0) * np.pi)
+    faces = np.zeros(raw.size - 1, complex)
+    angle = faces.imag
+    np.add(raw[1:], 1.0, out=angle)
+    angle *= np.pi
+    return _ts_periods(float((raw[0] + 1.0) / 2.0), faces)
 
 
 def _spliced(raw: np.ndarray) -> list:
     half = raw.size // 2
-    phases = raw * np.pi
+    faces = np.exp(1j * (raw * np.pi))
     amp_a = np.concatenate([np.ones(half), np.zeros(raw.size - half)])
-    return [(1.0, amp_a * np.exp(1j * phases),
-             (1.0 - amp_a) * np.exp(1j * phases))]
+    return [(1.0, amp_a * faces, (1.0 - amp_a) * faces)]
 
 
 def _conventional(raw: np.ndarray) -> list:

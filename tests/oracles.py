@@ -140,3 +140,122 @@ def naive_episode_fading(geometry, params, L, N, T, seed):
                       cn(N, ris_eve), cn(N, ris_st)])
         slots.append((H, D, R))
     return slots
+
+
+# ---------------------------------------------------------------------------
+# the environment step, frozen
+
+def _wrap_pi(phi):
+    out = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(out == -np.pi, np.pi, out)
+
+
+def _surface_periods(variant, mode, raw):
+    """(weight, Phi_A, Phi_B) periods of a raw surface slice in [-1, 1]."""
+    if (variant, mode) == ("star", "es"):
+        n = raw.size // 3
+        theta = (raw[:n] + 1.0) * np.pi / 4.0
+        phi_b = _wrap_pi(raw[n:2 * n] * np.pi)
+        sign = np.where(raw[2 * n:] >= 0.0, 1.0, -1.0)
+        b_sq = 1.0 - (1.0 - np.sin(theta) ** 2)
+        a_sq = 1.0 - b_sq
+        return [(1.0,
+                 np.sqrt(a_sq) * np.exp(1j * _wrap_pi(phi_b + sign * np.pi / 2.0)),
+                 np.sqrt(b_sq) * np.exp(1j * phi_b))]
+    if (variant, mode) == ("star", "ts"):
+        n = (raw.size - 1) // 2
+        pi_1 = float((raw[0] + 1.0) / 2.0)
+        phi_a = (raw[1:n + 1] + 1.0) * np.pi
+        phi_b = (raw[n + 1:] + 1.0) * np.pi
+        dark = np.zeros(n)
+        return [(pi_1, dark, dark),
+                (1.0 - pi_1, np.exp(1j * np.mod(phi_a, 2.0 * np.pi)),
+                 np.exp(1j * np.mod(phi_b, 2.0 * np.pi)))]
+    if (variant, mode) == ("spliced", "es"):
+        half = raw.size // 2
+        phases = raw * np.pi
+        amp_a = np.concatenate([np.ones(half), np.zeros(raw.size - half)])
+        return [(1.0, amp_a * np.exp(1j * phases),
+                 (1.0 - amp_a) * np.exp(1j * phases))]
+    assert (variant, mode) == ("conventional", "es")
+    return [(1.0, np.exp(1j * raw * np.pi), np.zeros(raw.size))]
+
+
+def naive_step(env, raw_action):
+    """Every ``StepOutcome`` field of ``env.step(raw_action)``, computed
+    from the env's parameters, its current slot of ``env.channels`` and
+    its slot counter, without calling the package.
+
+    This is the environment's step as first written with whole-array
+    numpy operations, kept as it was: every array goes through the same
+    floating-point operations in the same memory layouts, so a rewrite
+    of the step that claims to compute the same numbers must match it
+    bit for bit. Call it before ``env.step``, which advances the slot.
+    """
+    L, M, T, t = env.L, env.M, env.T, env.t
+    sensing, sigma2 = env.sensing, env.noise_power
+    raw = np.clip(np.asarray(raw_action, float), -1.0, 1.0)
+    beam = 2 * L * (L + M)
+    nb = beam // 2
+
+    # beamformers: scaled per column group, projected onto the power ball
+    K = (raw[:nb] + 1j * raw[nb:beam]).reshape(L, L + M, order="F")
+    K[:, :M] *= np.sqrt(0.8 * env.p_max / (L * M))
+    K[:, M:] *= np.sqrt(0.2 * env.p_max / (L * L))
+    tr = np.sum(np.abs(K) ** 2)
+    K = K if tr <= env.p_max else K * np.sqrt(env.p_max / tr)
+    K = np.concatenate([K[:, :M], K[:, M:]], axis=1)
+    periods = _surface_periods(env.variant, env.mode, raw[beam:])
+
+    H, D, R = env.channels.H[t], env.channels.D[t], env.channels.R[t]
+    lu = eve = st = echo = 0.0
+    for weight, phi_a, phi_b in periods:
+        phi = np.empty(R.shape, complex)
+        phi[:-1] = phi_b
+        phi[-1] = phi_a
+        h_eff = (R.conj() * phi) @ H + D.conj()
+        power = np.abs(h_eff @ K) ** 2
+        streams = power[:, :M]
+        interference = (streams.sum(axis=1, keepdims=True) - streams
+                        + power[:, M:].sum(axis=1, keepdims=True))
+        r = np.log2(1.0 + streams / (interference + sigma2))
+        lu = lu + weight * r.diagonal()
+        eve = eve + weight * r[M]
+        st = st + weight * r[M + 1]
+        # echo SNR at the closed-form filter u ~ (I (x) g g^H) k, skipped
+        # where the target's channel leaves the filter degenerate
+        g = h_eff[M + 1].conj()
+        u = np.outer(g, g.conj() @ K).reshape(-1, order="F")
+        denom = np.vdot(u, u).real
+        if denom < 1e-300:
+            continue
+        u = u / denom
+        U = u.reshape(L, -1, order="F")
+        val = np.sum(U.conj().T @ g * (g.conj() @ K))
+        num = sensing.P * sensing.tau ** 2 * np.abs(val) ** 2
+        echo += weight * float(num / (sensing.sigma_s2 * np.vdot(u, u).real))
+
+    sec = np.maximum(lu - eve, 0.0) + np.maximum(lu - st, 0.0)
+    sum_sec = float(sec.sum())
+    if echo <= sensing.kappa_t:
+        reward = float(echo)
+    elif np.all(lu >= env.r_min):
+        reward = float(sensing.kappa_t + M * env.r_min + sum_sec)
+    else:
+        reward = float(sensing.kappa_t + np.minimum(lu, env.r_min).sum())
+
+    # next state: the next slot's unit-power fading (the last slot's once
+    # the episode ends), then this action and reward, then the time
+    ch, s = env.channels, min(t + 1, T - 1)
+    Hf, Df, Rf = ch.H_fading[s], ch.D_fading[s], ch.R_fading[s]
+    z = np.concatenate([Hf.ravel(), Df[:-2].ravel(), Rf[:-2].ravel(),
+                        Df[-2], Rf[-2], Df[-1], Rf[-1]])
+    next_state = np.concatenate([z.real, z.imag, raw,
+                                 [reward / 10.0, (t + 1) / T]])
+    return {
+        "reward": reward, "lu_rates": lu, "eve_rates": eve, "st_rates": st,
+        "secrecy_rates": sec, "sum_secrecy_rate": sum_sec, "echo_snr": echo,
+        "snr_feasible": echo > sensing.kappa_t,
+        "rate_feasible": bool(np.all(lu >= env.r_min)),
+        "next_state": next_state, "done": t + 1 >= T,
+    }

@@ -40,7 +40,7 @@ def _instance(rng):
     ch = (inst["H"],
           np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
           np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
-    design = TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
+    design = TransmitDesign.from_columns(K_s=inst["K_s"], K_w=inst["K_w"])
     return inst, ch, design, L, N, M
 
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from star_isac import env as env_module
 from star_isac import physics
 from star_isac.env import EnvError, SecureIsacEnv, state_features
 from star_isac.experiments import ScenarioConfig, build_baseline
 
-from oracles import naive_sinr
+from oracles import naive_sinr, naive_step
+
+SURFACE_PAIRS = (("star", "es"), ("star", "ts"), ("spliced", "es"),
+                 ("conventional", "es"))
 
 
 def small_cfg(**kw):
@@ -140,6 +146,18 @@ class TestEpisodeControl:
                 env.step(act)
         assert env.t == 1
 
+    def test_huge_finite_action_is_clipped_not_rejected(self):
+        # entries whose squares overflow are still finite: the step clips
+        # them like any other entry beyond [-1, 1]
+        a, b = make_env(seed=4), make_env(seed=4)
+        a.reset(), b.reset()
+        huge = np.full(a.action_dim, 1e200)
+        huge[::2] *= -1.0
+        ones = np.sign(huge)
+        oa, ob = a.step(huge), b.step(ones)
+        assert oa.reward == ob.reward
+        assert np.array_equal(oa.next_state, ob.next_state)
+
     def test_state_tail_tracks_action_and_reward(self):
         env = make_env()
         s0 = env.reset()
@@ -219,3 +237,63 @@ class TestStepPhysics:
             env.reset()
             out = env.step(raw)
             assert np.isfinite(out.reward)
+
+
+class TestStepBitExact:
+    """Every field of every step equals the frozen step chain in
+    ``oracles.naive_step`` bit for bit."""
+
+    @staticmethod
+    def assert_step_matches(env, raw):
+        want = naive_step(env, raw)
+        out = env.step(raw)
+        for field, value in want.items():
+            assert np.array_equal(getattr(out, field), value), field
+        return out
+
+    @pytest.mark.parametrize("N", (8, 12, 24))
+    @pytest.mark.parametrize("variant, mode", SURFACE_PAIRS)
+    def test_episode_matches_frozen_chain(self, variant, mode, N):
+        cfg = replace(ScenarioConfig(seeds=(0,)), N=N, baseline=variant,
+                      protocol=mode)
+        env = build_baseline(cfg, seed=N)
+        env.reset()
+        rng = np.random.default_rng(N)
+        for _ in range(env.T):
+            # some entries beyond [-1, 1], which the step clips
+            self.assert_step_matches(
+                env, rng.uniform(-1.2, 1.2, env.action_dim))
+
+    @pytest.mark.parametrize("variant, mode", SURFACE_PAIRS)
+    def test_zero_target_channel_skips_the_echo(self, variant, mode,
+                                                monkeypatch):
+        generate = env_module.generate_episode_channels
+
+        def no_target(*args):
+            ch = generate(*args)
+            ch.D[:, -1] = 0.0
+            ch.R[:, -1] = 0.0
+            return ch
+
+        monkeypatch.setattr(env_module, "generate_episode_channels", no_target)
+        env = make_env(baseline=variant, protocol=mode, N=4, seed=11)
+        env.reset()
+        rng = np.random.default_rng(12)
+        for _ in range(env.T):
+            out = self.assert_step_matches(
+                env, rng.uniform(-1.0, 1.0, env.action_dim))
+            assert out.echo_snr == 0.0
+
+    @pytest.mark.parametrize("entry, projected", ((1.0, True), (0.1, False)))
+    def test_beam_over_and_under_budget(self, entry, projected):
+        env = make_env(seed=13)
+        env.reset()
+        raw = np.random.default_rng(14).uniform(-1.0, 1.0, env.action_dim)
+        raw[:env._beam_len] = entry
+        design, _ = env.decode_action(raw)
+        power = float(np.sum(np.abs(design.K) ** 2))
+        if projected:
+            assert power == pytest.approx(env.p_max, rel=1e-12)
+        else:
+            assert power < 0.5 * env.p_max
+        self.assert_step_matches(env, raw)

@@ -13,6 +13,7 @@ from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW, ConfigError,
                                    build_baseline, episode_returns,
                                    episode_secrecy, parse_config, run_scenario,
                                    run_seed, seed_summary, sweep)
+from star_isac.ddpg import DdpgAgent
 from star_isac.sac import SacAgent
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
@@ -212,7 +213,47 @@ def poison_step(monkeypatch, field, value, at):
     monkeypatch.setattr(SecureIsacEnv, "step", poisoned)
 
 
+def poison_loss(monkeypatch, cls, method, at, position=None):
+    """Make call number ``at`` (from 0) of ``cls.method`` return NaN as
+    its loss, or as entry ``position`` of the tuple it returns."""
+    original, calls = getattr(cls, method), []
+
+    def poisoned(agent, batch):
+        value = original(agent, batch)
+        if len(calls) == at:
+            value = np.nan if position is None else tuple(
+                np.nan if i == position else v for i, v in enumerate(value))
+        calls.append(value)
+        return value
+
+    monkeypatch.setattr(cls, method, poisoned)
+
+
+# with TINY's T = 4 and batch 4, updates begin once 40 transitions are
+# stored: update k runs at the run's step 39 + k
+LOSS_CASES = [
+    ("sac", SacAgent, "critic_update", 0, 1, "critic 2 loss",
+     "episode 9, step 3"),
+    ("sac", SacAgent, "policy_update", 2, 0, "policy loss",
+     "episode 10, step 1"),
+    ("ddpg", DdpgAgent, "critic_update", 0, None, "critic loss",
+     "episode 9, step 3"),
+    ("ddpg", DdpgAgent, "actor_update", 5, None, "actor objective",
+     "episode 11, step 0"),
+]
+
+
 class TestNonFinite:
+    @pytest.mark.parametrize("algorithm, cls, method, at, position, name, "
+                             "where", LOSS_CASES)
+    def test_loss_stops_run_naming_loss_episode_and_step(
+            self, monkeypatch, algorithm, cls, method, at, position, name,
+            where):
+        poison_loss(monkeypatch, cls, method, at, position)
+        with pytest.raises(RunError, match=rf"^non-finite {name} \(nan\) "
+                                           rf"at {where}$"):
+            run_seed(tiny_cfg(algorithm=algorithm, episodes=12), 0)
+
     @pytest.mark.parametrize("field, value, name", [
         ("reward", np.nan, "reward (nan)"),
         ("sum_secrecy_rate", np.inf, "sum_secrecy_rate (inf)"),
@@ -293,6 +334,24 @@ class TestCli:
         assert rc == 3
         assert ("runtime error: non-finite reward (nan) at episode 0, step 0"
                 in capsys.readouterr().err)
+
+    def test_non_finite_loss_exit_three(self, tmp_path, capsys, monkeypatch):
+        poison_loss(monkeypatch, SacAgent, "policy_update", 0, 0)
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
+                       "--episodes", "12", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert ("runtime error: non-finite policy loss (nan) at episode 9, "
+                "step 3" in capsys.readouterr().err)
+
+    def test_bad_seed_entry_exit_two_names_option_and_place(self, tmp_path,
+                                                           capsys):
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
+                       "--seeds", "0,x", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "config error: --seeds '0,x': entry 2, 'x', is not an " \
+            "integer" in err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_action_exit_three(self, tmp_path, capsys, monkeypatch):
         sample = SacAgent.sample_action

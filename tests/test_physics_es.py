@@ -20,7 +20,7 @@ def make_channel(inst):
 
 
 def make_design(inst):
-    return TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
+    return TransmitDesign.from_columns(K_s=inst["K_s"], K_w=inst["K_w"])
 
 
 def es_channels(inst):
@@ -44,7 +44,7 @@ class TestSinrEs:
         D[0, 0] = 1.0
         h_eff = effective_channels(D, np.zeros((3, 4), complex),
                                    np.zeros((4, L)), np.zeros(4), np.zeros(4))
-        design = TransmitDesign(
+        design = TransmitDesign.from_columns(
             K_s=(np.sqrt(P) * np.eye(L)[:, :1]).astype(complex),
             K_w=np.zeros((L, L), complex))
         assert sinrs(h_eff, design, 1.0)[0, 0] == pytest.approx(P)
@@ -145,8 +145,8 @@ class TestEchoSnr:
 
     def test_scalar_case(self):
         # L=1, M=0, everything 1 -> SNR = 1/sigma_s^2
-        design = TransmitDesign(K_s=np.zeros((1, 0), complex),
-                                K_w=np.ones((1, 1), complex))
+        design = TransmitDesign.from_columns(K_s=np.zeros((1, 0), complex),
+                                             K_w=np.ones((1, 1), complex))
         g = np.ones(1, complex)
         snr = echo_snr_lower_bound(g, design, np.ones(1, complex), self.sensing)
         assert snr == pytest.approx(1.0 / 0.25)
@@ -175,7 +175,8 @@ class TestEchoSnr:
         M = int(rng.integers(0, 3))
         inst = random_instance(rng, L=L, N=4, M=max(M, 1))
         K = np.concatenate([inst["K_s"][:, :M], inst["K_w"]], axis=1)
-        design = TransmitDesign(K_s=inst["K_s"][:, :M], K_w=inst["K_w"])
+        design = TransmitDesign.from_columns(K_s=inst["K_s"][:, :M],
+                                             K_w=inst["K_w"])
         g = inst["g_bs"]
         u = rng.standard_normal(L * (M + L)) + 1j * rng.standard_normal(L * (M + L))
         sensing = SensingParams(tau=float(rng.uniform(0.5, 2)),
@@ -190,8 +191,8 @@ class TestOptimalFilter:
     sensing = SensingParams(tau=1.0, P=4, sigma_s2=0.5, kappa_t=1.0)
 
     def test_scalar_all_ones(self):
-        design = TransmitDesign(K_s=np.zeros((1, 0), complex),
-                                K_w=np.ones((1, 1), complex))
+        design = TransmitDesign.from_columns(K_s=np.zeros((1, 0), complex),
+                                             K_w=np.ones((1, 1), complex))
         u = optimal_filter(np.ones(1, complex), design)
         assert u.shape == (1,)
         assert u[0] == pytest.approx(1.0 + 0j)
@@ -239,8 +240,8 @@ class TestOptimalFilter:
             assert snr_at((lo + hi) / 2) <= best + 1e-8 * best
 
     def test_degenerate_raises(self):
-        design = TransmitDesign(K_s=np.zeros((2, 1), complex),
-                                K_w=np.zeros((2, 2), complex))
+        design = TransmitDesign.from_columns(K_s=np.zeros((2, 1), complex),
+                                             K_w=np.zeros((2, 2), complex))
         with pytest.raises(DegenerateFilterError):
             optimal_filter(np.ones(2, complex), design)
 

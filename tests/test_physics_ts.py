@@ -22,7 +22,7 @@ def make_channel(inst):
 
 
 def make_design(inst):
-    return TransmitDesign(K_s=inst["K_s"], K_w=inst["K_w"])
+    return TransmitDesign.from_columns(K_s=inst["K_s"], K_w=inst["K_w"])
 
 
 class TsParams(NamedTuple):
