@@ -2,8 +2,7 @@
 
 from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
                       generate_episode_channels, path_loss_los,
-                      path_loss_nlos, rician_channel, steering_bs,
-                      steering_ris)
+                      path_loss_nlos, steering_bs, steering_ris)
 from .env import SecureIsacEnv
 from .experiments import ScenarioConfig, run_scenario, sweep
 from .physics import (SensingParams, StepOutcome, TransmitDesign,
@@ -16,7 +15,7 @@ from .star_ris import (SURFACES, decode, es_coefficients, es_power_split,
 __all__ = [
     "EpisodeChannels", "FadingParams", "SystemGeometry",
     "generate_episode_channels", "path_loss_los", "path_loss_nlos",
-    "rician_channel", "steering_bs", "steering_ris",
+    "steering_bs", "steering_ris",
     "SecureIsacEnv",
     "ScenarioConfig", "run_scenario", "sweep",
     "SensingParams", "StepOutcome", "TransmitDesign",

@@ -10,9 +10,10 @@ stacks; slot t is index t of each stack. Within a stream the order is:
 per slot, per receiver, the link's real parts, then its imaginary parts.
 This is the order in which a per-slot loop would draw them, so a seed
 gives the same channels whichever way they are drawn. What the fixed
-geometry determines, the path-loss amplitudes and the BS->RIS LoS term,
-is a ``LinkConstants`` record that a caller drawing many episodes
-computes once.
+geometry and fading parameters determine, the path-loss amplitudes and
+the weights of the BS->RIS LoS and NLoS terms, is a ``LinkConstants``
+record (``link_constants``), computed once and required by
+``generate_episode_channels``, which reads the sizes L, N and M from it.
 """
 from __future__ import annotations
 
@@ -166,34 +167,6 @@ def _cn_samples(lead: tuple, block: tuple,
     return (x[at + (0,)] + 1j * x[at + (1,)]) / np.sqrt(2.0)
 
 
-def rician_channel(params: FadingParams, loss_db: float, T: int, N: int,
-                   L: int, beta_b: float, beta_r: float, zeta_r: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """T x N x L stack of Rician matrices, one per slot: the rank-1 LoS
-    outer product, formed once, plus i.i.d. NLoS, scaled by the linear
-    amplitude of the loss."""
-    los = _los_term(params, N, L, beta_b, beta_r, zeta_r)
-    return loss_db_to_amplitude(loss_db) * _rician_mix(params, los, T, rng)
-
-
-def _los_term(params: FadingParams, N: int, L: int, beta_b: float,
-              beta_r: float, zeta_r: float) -> np.ndarray:
-    """sqrt(F/(F+1)) times the rank-1 LoS outer product, N x L."""
-    F = params.rician_factor
-    lam = params.wavelength
-    f_r = steering_ris(N, beta_r, zeta_r, lam / 2.0, lam, params.n_x)
-    f_b = steering_bs(L, beta_b, lam / 2.0, lam)
-    return np.sqrt(F / (F + 1.0)) * np.outer(f_r, f_b)
-
-
-def _rician_mix(params: FadingParams, los: np.ndarray, T: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """T unit-power Rician draws around the weighted LoS term ``los``."""
-    F = params.rician_factor
-    nlos = _cn_samples((T,), los.shape, rng)
-    return los + np.sqrt(1.0 / (F + 1.0)) * nlos
-
-
 def geometry_angles(geometry: SystemGeometry):
     """Azimuth at the BS and (elevation, azimuth) at the RIS for the
     BS->RIS link, derived from positions."""
@@ -236,11 +209,12 @@ def link_loss_table(geometry: SystemGeometry, params: FadingParams) -> dict:
 @dataclass(frozen=True)
 class LinkConstants:
     """The parts of every episode's links that the geometry and the
-    fading parameters fix: the weighted LoS term of BS->RIS and each
-    link's path-loss amplitude, receivers stacked as users, Eve,
-    target."""
+    fading parameters fix: the weighted LoS term and the NLoS weight of
+    the Rician BS->RIS link, and each link's path-loss amplitude,
+    receivers stacked as users, Eve, target."""
 
     los: np.ndarray               # N x L, sqrt(F/(F+1)) f_r f_b^T
+    nlos_weight: float            # sqrt(1/(F+1))
     H_amp: float
     D_amp: np.ndarray             # (M+2) x 1
     R_amp: np.ndarray             # (M+2) x 1
@@ -250,35 +224,37 @@ def link_constants(geometry: SystemGeometry, params: FadingParams, L: int,
                    N: int) -> LinkConstants:
     """The ``LinkConstants`` of a geometry, fading parameters, L and N."""
     losses = link_loss_table(geometry, params)
+    F = params.rician_factor
+    lam = params.wavelength
+    beta_b, beta_r, zeta_r = geometry_angles(geometry)
+    f_r = steering_ris(N, beta_r, zeta_r, lam / 2.0, lam, params.n_x)
+    f_b = steering_bs(L, beta_b, lam / 2.0, lam)
 
     def column(*losses_db):
         return np.array([[loss_db_to_amplitude(x)] for x in losses_db])
 
     return LinkConstants(
-        los=_los_term(params, N, L, *geometry_angles(geometry)),
+        los=np.sqrt(F / (F + 1.0)) * np.outer(f_r, f_b),
+        nlos_weight=np.sqrt(1.0 / (F + 1.0)),
         H_amp=loss_db_to_amplitude(losses["bs_ris"]),
         D_amp=column(*losses["bs_lu"], losses["bs_eve"], losses["bs_st"]),
         R_amp=column(*losses["ris_lu"], losses["ris_eve"], losses["ris_st"]))
 
 
-def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
-                              L: int, N: int, T: int, seed,
-                              links: LinkConstants | None = None
-                              ) -> EpisodeChannels:
-    """An independent channel draw per slot, for all T slots at once.
+def generate_episode_channels(links: LinkConstants, T: int,
+                              seed) -> EpisodeChannels:
+    """An independent channel draw per slot, for all T slots at once,
+    of the links whose constants are ``links``.
 
     BS->RIS is Rician; all other links are NLoS-only Rayleigh with their
     own path loss. Channel draws per link come from independent child
     streams of the given seed, one draw per stream for the whole episode
-    (see the module docstring for the order). ``links`` is
-    ``link_constants`` of the same geometry, parameters, L and N, formed
-    here when not given.
+    (see the module docstring for the order).
     """
     if T < 1:
         raise ChannelError("T must be >= 1")
-    M = geometry.num_users
-    if links is None:
-        links = link_constants(geometry, params, L, N)
+    N, L = links.los.shape
+    M = len(links.D_amp) - 2
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -292,7 +268,8 @@ def generate_episode_channels(geometry: SystemGeometry, params: FadingParams,
                                _cn_samples((T, 1), (n,), streams[target])],
                               axis=1)
 
-    H_fading = _rician_mix(params, links.los, T, streams["bs_ris"])
+    H_fading = links.los + links.nlos_weight * _cn_samples(
+        (T,), (N, L), streams["bs_ris"])
     D_fading = receivers(L, "bs_lu", "bs_eve", "bs_st")
     R_fading = receivers(N, "ris_lu", "ris_eve", "ris_st")
     return EpisodeChannels(H_fading, D_fading, R_fading,

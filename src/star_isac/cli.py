@@ -8,16 +8,19 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import (ConfigError, ScenarioConfig, load_config,
-                          run_scenario, sweep)
+from .experiments import (SWEEP_AXES, ConfigError, ScenarioConfig,
+                          load_config, run_scenario, sweep)
+from .star_ris import SURFACES
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat dotted-key config file")
     p.add_argument("--out", metavar="DIR", default="results", help="output directory")
     p.add_argument("--algo", choices=["ddpg", "sac"])
-    p.add_argument("--protocol", choices=["es", "ts"])
-    p.add_argument("--baseline", choices=["star", "spliced", "conventional"])
+    p.add_argument("--protocol", choices=list(dict.fromkeys(
+        protocol for _, protocol in SURFACES)))
+    p.add_argument("--baseline", choices=list(dict.fromkeys(
+        variant for variant, _ in SURFACES)))
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--episodes", type=int)
 
@@ -33,9 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one config axis")
     _add_common(sweep_p)
-    sweep_p.add_argument("--axis", required=True,
-                         choices=["lr", "N", "P_0", "kappa_t", "algorithm",
-                                  "protocol", "baseline"])
+    sweep_p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated axis values")
     return parser

@@ -12,22 +12,20 @@ import numpy as np
 from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
                       critic_mse, soft_update)
 
+# std of the Gaussian noise added to every action component when acting
+NOISE_STD = 0.1
+
 
 class DdpgAgent:
     def __init__(self, state_dim: int, action_dim: int, *, hidden=(256, 256),
                  lr=1e-4, gamma=0.99, soft_rate=5e-4,
-                 noise_start=0.1, noise_end=0.1, noise_decay_steps=8000,
                  buffer_capacity=1_000_000, batch_size=64, seed=0):
         rng = np.random.default_rng(seed)
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.gamma = gamma
         self.soft_rate = soft_rate
-        self.noise_start = noise_start
-        self.noise_end = noise_end
-        self.noise_decay_steps = noise_decay_steps
         self.batch_size = batch_size
-        self.step_count = 0
 
         self.actor = Mlp([state_dim, *hidden, action_dim], "tanh", rng)
         self.critic = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
@@ -40,15 +38,10 @@ class DdpgAgent:
         self.rng = rng
 
     # ---- acting ---------------------------------------------------------
-    def noise_scale(self) -> float:
-        frac = min(self.step_count / max(self.noise_decay_steps, 1), 1.0)
-        return self.noise_start + frac * (self.noise_end - self.noise_start)
-
-    def select_action(self, state, explore: bool = True) -> np.ndarray:
+    def select_action(self, state) -> np.ndarray:
         a = self.actor(np.atleast_2d(state))[0]
-        if explore:
-            a = a + self.rng.normal(0.0, self.noise_scale(), size=a.shape)
-        return np.clip(a, -1.0, 1.0)
+        return np.clip(a + self.rng.normal(0.0, NOISE_STD, size=a.shape),
+                       -1.0, 1.0)
 
     # ---- updates --------------------------------------------------------
     def target_value(self, batch) -> np.ndarray:
@@ -94,7 +87,6 @@ class DdpgAgent:
     def observe(self, state, action, reward, next_state, done) -> None:
         self.buffer.add(state, action, reward, next_state, done)
         self.reward_scale.update(reward)
-        self.step_count += 1
 
     def maybe_update(self) -> None:
         # one critic + one actor update per environment step, after a
@@ -115,7 +107,7 @@ def train(env, agent: DdpgAgent, episodes: int):
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):
-            action = agent.select_action(state, explore=True)
+            action = agent.select_action(state)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
             agent.maybe_update()

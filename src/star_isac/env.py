@@ -99,9 +99,8 @@ class SecureIsacEnv:
     # ---- episode control ------------------------------------------------
     def reset(self) -> np.ndarray:
         episode_seed = self._seed_seq.spawn(1)[0]
-        self.channels = generate_episode_channels(
-            self.geometry, self.fading, self.L, self.N, self.T, episode_seed,
-            self._links)
+        self.channels = generate_episode_channels(self._links, self.T,
+                                                  episode_seed)
         self._features = state_features(self.channels)
         self._D_conj = self.channels.D.conj()
         self._R_conj = self.channels.R.conj()
@@ -120,10 +119,9 @@ class SecureIsacEnv:
     # ---- action decoding ------------------------------------------------
     def decode_action(self, raw: np.ndarray):
         """(power-feasible design, surface periods) for a raw action in
-        [-1, 1]^action_dim, which ``step`` clips it to; the surface state
-        is a list of (weight, Phi_A, Phi_B) periods, see ``physics``."""
-        if raw.size != self.action_dim:
-            raise EnvError(f"action length {raw.size} != {self.action_dim}")
+        [-1, 1]^action_dim, of the shape and range ``step`` checks and
+        clips it to; the surface state is a list of (weight, Phi_A, Phi_B)
+        periods, see ``physics``."""
         nb = self._beam_len // 2
         # column-major: the products with K must run in this layout, as a
         # row-major copy of K moves the last bits of the rates
@@ -141,6 +139,8 @@ class SecureIsacEnv:
         if self.t >= self.T:
             raise EnvError("episode finished; call reset()")
         raw = np.asarray(raw_action, float)
+        if raw.shape != (self.action_dim,):
+            raise EnvError(f"action shape {raw.shape} != ({self.action_dim},)")
         # any NaN or inf entry makes raw.raw non-finite, and so does an
         # overflow of finite entries: only then are the entries searched
         if not math.isfinite(np.vdot(raw, raw)):

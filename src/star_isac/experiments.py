@@ -274,9 +274,7 @@ def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):
                   soft_rate=cfg.soft_rate, buffer_capacity=capacity,
                   batch_size=cfg.batch_size, seed=seed)
     if cfg.algorithm == "ddpg":
-        horizon = max(int(0.8 * cfg.episodes * cfg.T), 1)
-        return ddpg.DdpgAgent(env.state_dim, env.action_dim,
-                              noise_decay_steps=horizon, **common)
+        return ddpg.DdpgAgent(env.state_dim, env.action_dim, **common)
     return sac.SacAgent(env.state_dim, env.action_dim, **common)
 
 

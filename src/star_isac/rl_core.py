@@ -199,13 +199,15 @@ class Mlp:
 
 class Adam:
     """Bias-corrected first/second-moment updater over a list of
-    contiguous parameter arrays."""
+    contiguous parameter arrays, with Kingma & Ba's default decay rates
+    and epsilon."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -214,7 +216,7 @@ class Adam:
         if self.lr == 0.0:
             return
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for arrays in zip(params, grads, self.m, self.v):
@@ -230,7 +232,7 @@ class Adam:
                 v += s
                 np.divide(v, c2, out=s)
                 np.sqrt(s, out=s)
-                s += self.eps
+                s += self.EPS
                 np.divide(m, c1, out=u)
                 u *= self.lr
                 u /= s

@@ -16,8 +16,8 @@ log-det term that grows on dimensions pushed into saturation, where
 noise no longer moves the action; measured on it, the saturated
 dimensions alone meet the entropy target and alpha keeps widening the
 noise on every dimension, including those that still move. On the
-Gaussian each dimension's noise counts the same; the default target of
--dim(A) nats is a pre-squash std of exp(-1 - 0.5*log(2*pi*e)) ~= 0.09
+Gaussian each dimension's noise counts the same; the target of -dim(A)
+nats is a pre-squash std of exp(-1 - 0.5*log(2*pi*e)) ~= 0.09
 per dimension.
 """
 from __future__ import annotations
@@ -30,12 +30,27 @@ from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 SQUASH_EPS = 1e-6
+# shift of the policy head's log-std bias: the policy opens with
+# per-dimension exploration noise of std about exp(-2.1) ~= 0.12, just
+# above the ~0.09 the entropy target holds; the default head would open
+# at std ~ 1, which in a high-dimensional action space is
+# indistinguishable from acting uniformly at random
+INIT_LOG_STD = -2.1
+# the temperature gets a faster schedule than the networks: with
+# high-dimensional actions the entropy term is large relative to the
+# reward, and alpha must adapt within the training horizon. It starts
+# small because its push on each log-std is alpha: from 0.01 it widens
+# the noise to std ~0.25 in the ~100 episodes it takes to decay, whatever
+# the initial std, and at this scale the critic does not narrow it again.
+# From 1e-4 the noise of saturated dimensions, which the critic no longer
+# sees, can drift to std > 1
+INIT_ALPHA = 1e-3
+ALPHA_LR = 1e-3
 
 
 class SacAgent:
     def __init__(self, state_dim: int, action_dim: int, *, hidden=(256, 256),
-                 lr=1e-4, gamma=0.99, soft_rate=5e-4, target_entropy=None,
-                 init_alpha=1e-3, alpha_lr=1e-3, init_log_std=-2.1,
+                 lr=1e-4, gamma=0.99, soft_rate=5e-4,
                  buffer_capacity=1_000_000, batch_size=64, seed=0):
         rng = np.random.default_rng(seed)
         self.state_dim = state_dim
@@ -43,16 +58,10 @@ class SacAgent:
         self.gamma = gamma
         self.soft_rate = soft_rate
         self.batch_size = batch_size
-        self.target_entropy = (-float(action_dim) if target_entropy is None
-                               else float(target_entropy))
+        self.target_entropy = -float(action_dim)
 
         self.policy = Mlp([state_dim, *hidden, 2 * action_dim], "linear", rng)
-        # start with moderate per-dimension exploration noise (std about
-        # exp(init_log_std) ~= 0.12, just above the ~0.09 the entropy
-        # target holds); the default head would open at std ~ 1, which in
-        # a high-dimensional action space is indistinguishable from
-        # acting uniformly at random
-        self.policy.biases[-1][action_dim:] += init_log_std
+        self.policy.biases[-1][action_dim:] += INIT_LOG_STD
         self.critic1 = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
         self.critic2 = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
         self.target_critic1 = self.critic1.copy()
@@ -60,17 +69,8 @@ class SacAgent:
         self.policy_opt = Adam(self.policy.params, lr=lr)
         self.critic1_opt = Adam(self.critic1.params, lr=lr)
         self.critic2_opt = Adam(self.critic2.params, lr=lr)
-        # the temperature gets a faster schedule than the networks: with
-        # high-dimensional actions the entropy term is large relative to
-        # the reward, and alpha must adapt within the training horizon.
-        # It starts small because its push on each log-std is alpha:
-        # from 0.01 it widens the noise to std ~0.25 in the ~100 episodes
-        # it takes to decay, whatever the initial std, and at this scale
-        # the critic does not narrow it again. From 1e-4 the noise of
-        # saturated dimensions, which the critic no longer sees, can
-        # drift to std > 1
-        self.log_alpha = np.array([np.log(init_alpha)])
-        self.alpha_opt = Adam([self.log_alpha], lr=alpha_lr)
+        self.log_alpha = np.array([np.log(INIT_ALPHA)])
+        self.alpha_opt = Adam([self.log_alpha], lr=ALPHA_LR)
         self.buffer = ReplayBuffer(buffer_capacity, state_dim, action_dim)
         self.reward_scale = RewardScale()
         self.rng = rng

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from star_isac.channel import (ChannelError, FadingParams, SystemGeometry,
                                generate_episode_channels, geometry_angles,
-                               link_loss_table, loss_db_to_amplitude,
-                               path_loss_los, path_loss_nlos, rician_channel,
-                               steering_bs, steering_ris)
+                               link_constants, link_loss_table,
+                               loss_db_to_amplitude, path_loss_los,
+                               path_loss_nlos, steering_bs, steering_ris)
 
 from oracles import naive_episode_fading
 
@@ -22,6 +22,12 @@ def default_geometry(M=2):
 
 def default_fading(F=2.0):
     return FadingParams(rician_factor=F, carrier_freq_ghz=2.0, n_x=4)
+
+
+def episode(T, seed, L=4, N=12, F=2.0):
+    """Channels of one episode in the default geometry."""
+    links = link_constants(default_geometry(), default_fading(F), L, N)
+    return generate_episode_channels(links, T, seed)
 
 
 class TestPathLoss:
@@ -93,39 +99,36 @@ class TestSteering:
 
 
 class TestRician:
+    """The BS->RIS link: unit-power Rician fading H_fading, scaled by its
+    path-loss amplitude in H."""
+
     def test_large_f_is_rank_one(self):
-        params = default_fading(F=1e9)
-        rng = np.random.default_rng(0)
-        for H in rician_channel(params, 0.0, 3, 8, 4, 0.3, -0.2, 0.8, rng):
+        for H in episode(T=3, seed=0, L=4, N=8, F=1e9).H_fading:
             s = np.linalg.svd(H, compute_uv=False)
             assert s[1] / s[0] < 1e-4
             assert np.linalg.norm(H, "fro") ** 2 == pytest.approx(32.0, rel=1e-3)
 
     def test_zero_f_unit_variance(self):
         # Monte-Carlo oracle on the Gaussian entry variance
-        params = default_fading(F=0.0)
-        rng = np.random.default_rng(1)
-        H = rician_channel(params, 0.0, 200, 12, 5, 0.3, -0.2, 0.8, rng)
+        H = episode(T=200, seed=1, L=5, N=12, F=0.0).H_fading
         assert H.shape == (200, 12, 5)
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_seeded_determinism(self):
-        params = default_fading()
-        a = rician_channel(params, 60.0, 3, 8, 4, 0.3, -0.2, 0.8,
-                           np.random.default_rng(7))
-        b = rician_channel(params, 60.0, 3, 8, 4, 0.3, -0.2, 0.8,
-                           np.random.default_rng(7))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a[0], a[1])
+        a = episode(T=3, seed=7, L=4, N=8)
+        b = episode(T=3, seed=7, L=4, N=8)
+        assert np.array_equal(a.H, b.H)
+        assert np.array_equal(a.H_fading, b.H_fading)
+        assert not np.array_equal(a.H[0], a.H[1])
 
     def test_frobenius_power_any_f(self):
         # E{||H||_F^2} = lambda*N*L regardless of F
-        params = default_fading(F=2.0)
-        rng = np.random.default_rng(5)
-        amp2 = loss_db_to_amplitude(20.0) ** 2
-        H = rician_channel(params, 20.0, 3000, 8, 4, 0.3, -0.2, 0.8, rng)
+        links = link_constants(default_geometry(), default_fading(F=2.0),
+                               L=4, N=8)
+        H = generate_episode_channels(links, T=3000, seed=5).H
         vals = np.linalg.norm(H, "fro", axis=(1, 2)) ** 2
-        assert np.mean(vals) == pytest.approx(amp2 * 32.0, rel=0.03)
+        assert np.mean(vals) == pytest.approx(links.H_amp ** 2 * 32.0,
+                                              rel=0.03)
 
 
 class TestGeometry:
@@ -138,8 +141,7 @@ class TestGeometry:
 
 class TestEpisodeChannels:
     def test_single_slot(self):
-        chans = generate_episode_channels(
-            default_geometry(), default_fading(), L=4, N=12, T=1, seed=0)
+        chans = episode(T=1, seed=0)
         assert chans.H.shape == chans.H_fading.shape == (1, 12, 4)
         # rows: 2 users, Eve, target
         assert chans.D.shape == chans.D_fading.shape == (1, 4, 4)
@@ -149,30 +151,24 @@ class TestEpisodeChannels:
 
     def test_t_must_be_positive(self):
         with pytest.raises(ChannelError):
-            generate_episode_channels(default_geometry(), default_fading(),
-                                      L=4, N=12, T=0, seed=0)
+            episode(T=0, seed=0)
 
     def test_seeded_determinism(self):
-        a = generate_episode_channels(default_geometry(), default_fading(),
-                                      L=4, N=12, T=3, seed=11)
-        b = generate_episode_channels(default_geometry(), default_fading(),
-                                      L=4, N=12, T=3, seed=11)
+        a = episode(T=3, seed=11)
+        b = episode(T=3, seed=11)
         assert np.array_equal(a.H, b.H)
         assert np.array_equal(a.R, b.R)
 
     def test_seeds_differ(self):
-        a = generate_episode_channels(default_geometry(), default_fading(),
-                                      L=4, N=12, T=1, seed=1)
-        b = generate_episode_channels(default_geometry(), default_fading(),
-                                      L=4, N=12, T=1, seed=2)
+        a = episode(T=1, seed=1)
+        b = episode(T=1, seed=2)
         assert not np.array_equal(a.H, b.H)
 
     def test_per_link_power_matches_path_loss(self):
         # Monte-Carlo: empirical per-entry power equals the linear loss
         geometry = default_geometry()
         params = default_fading()
-        chans = generate_episode_channels(geometry, params, L=4, N=12,
-                                          T=4000, seed=3)
+        chans = episode(T=4000, seed=3)
         losses = link_loss_table(geometry, params)
         lin = loss_db_to_amplitude(losses["bs_eve"]) ** 2
         emp = np.mean(np.abs(chans.D[:, -2]) ** 2)
@@ -211,7 +207,8 @@ class TestStreamOrder:
 
         geometry, params = default_geometry(M), default_fading()
         want = naive_episode_fading(geometry, params, L, N, T, fresh())
-        got = generate_episode_channels(geometry, params, L, N, T, fresh())
+        got = generate_episode_channels(
+            link_constants(geometry, params, L, N), T, fresh())
         losses = link_loss_table(geometry, params)
         H_amp = loss_db_to_amplitude(losses["bs_ris"])
         D_amp = np.array([[loss_db_to_amplitude(x)] for x in

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from star_isac.ddpg import DdpgAgent
+from star_isac.ddpg import NOISE_STD, DdpgAgent
 from star_isac.rl_core import critic_mse
 
 
@@ -32,27 +32,21 @@ class TestActing:
         agent = tiny_agent()
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a = agent.select_action(rng.standard_normal(3), explore=True)
+            a = agent.select_action(rng.standard_normal(3))
             assert a.shape == (2,)
             assert np.all((a >= -1.0) & (a <= 1.0))
 
-    def test_zero_noise_deterministic(self):
+    def test_noise_has_constant_std(self):
         agent = tiny_agent()
         s = np.ones(3)
-        a1 = agent.select_action(s, explore=False)
-        a2 = agent.select_action(s, explore=False)
-        assert np.array_equal(a1, a2)
-
-    def test_noise_decay_schedule(self):
-        agent = tiny_agent(noise_start=0.2, noise_end=0.05,
-                           noise_decay_steps=100)
-        assert agent.noise_scale() == pytest.approx(0.2)
-        agent.step_count = 50
-        assert agent.noise_scale() == pytest.approx(0.125)
-        agent.step_count = 100
-        assert agent.noise_scale() == pytest.approx(0.05)
-        agent.step_count = 10_000
-        assert agent.noise_scale() == pytest.approx(0.05)
+        mean = agent.actor(s[None])[0]
+        # far enough inside [-1, 1] that clipping never shows
+        assert np.all(np.abs(mean) < 1.0 - 6 * NOISE_STD)
+        for _ in range(2):  # the same std early and late
+            noise = np.array([agent.select_action(s)
+                              for _ in range(2000)]) - mean
+            assert np.std(noise) == pytest.approx(NOISE_STD, rel=0.05)
+            assert np.abs(np.mean(noise)) < 0.01
 
 
 class TestTargetValue:
@@ -172,7 +166,7 @@ class TestUpdateMachinery:
         def run():
             agent = tiny_agent(seed=13, batch_size=4)
             for s in states:
-                a = agent.select_action(s, explore=True)
+                a = agent.select_action(s)
                 agent.observe(s, a, float(s.sum()), s, False)
                 agent.maybe_update()
             return agent.actor.get_flat()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ class TestEpisodeControl:
         env.reset()
         with pytest.raises(EnvError):
             env.step(np.zeros(env.action_dim + 1))
+
+    @pytest.mark.parametrize("shape", ["1,d", "d,1", "scalar"])
+    def test_action_of_wrong_shape_names_it(self, shape):
+        env = make_env()
+        env.reset()
+        d = env.action_dim
+        action = {"1,d": np.zeros((1, d)), "d,1": np.zeros((d, 1)),
+                  "scalar": 0.0}[shape]
+        with pytest.raises(EnvError, match=re.escape(
+                f"action shape {np.shape(action)} != ({d},)")):
+            env.step(action)
+        assert env.t == 0
 
     def test_state_head_is_each_slots_features(self):
         # reset reads slot 0; the state after step k reads slot k+1, and

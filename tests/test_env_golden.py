@@ -4,18 +4,26 @@ surface sizes, compared against committed values.
 
 The golden file holds, per config and step, the reward, the sum secrecy
 rate, the echo SNR, and the per-user LU, Eve and target rates. Run this
-module directly to regenerate it (``PYTHONPATH=src python3
-tests/test_env_golden.py``); regenerate only for an intended change of
-behaviour, and say so where the change is recorded.
+module directly to regenerate it (``python3 tests/test_env_golden.py``),
+or with ``--check`` to compare every value at ``==`` (see
+``goldens.py``); regenerate only for an intended change of behaviour,
+and say so where the change is recorded.
 """
 import json
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-import pytest
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from star_isac.experiments import ScenarioConfig, build_baseline
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from star_isac.experiments import ScenarioConfig, build_baseline  # noqa: E402
+
+import goldens  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "env_golden.json"
 
@@ -73,7 +81,15 @@ def test_episode_matches_golden(golden, name):
                                    err_msg=f"{name}: {key}")
 
 
+def test_check_names_the_first_differing_step():
+    name = config_names()[0]
+    want = {name: episode(name)}
+    assert goldens.first_difference(want, episode) is None
+    rates = want[name]["lu_rates"][7]
+    rates[1] = math.nextafter(rates[1], 0.0)
+    assert goldens.first_difference(want, episode).startswith(
+        f"{name}: lu_rates, step 7: ")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: episode(name)
-                                  for name in config_names()}, indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    sys.exit(goldens.main(GOLDEN, config_names(), episode))

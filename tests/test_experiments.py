@@ -1,4 +1,5 @@
 import csv
+import inspect
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -6,15 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from star_isac.cli import main as cli_main
+from star_isac.cli import build_parser, main as cli_main
 from star_isac.env import SecureIsacEnv
-from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW, ConfigError,
-                                   RunError, ScenarioConfig, build_agent,
+from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW,
+                                   SWEEP_AXES, ConfigError, RunError,
+                                   ScenarioConfig, build_agent,
                                    build_baseline, episode_returns,
                                    episode_secrecy, parse_config, run_scenario,
                                    run_seed, seed_summary, sweep)
 from star_isac.ddpg import DdpgAgent
 from star_isac.sac import SacAgent
+from star_isac.star_ris import SURFACES
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -98,6 +101,24 @@ class TestConfig:
         cfg = ScenarioConfig(algorithm=algorithm)
         agent = build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
         assert agent.buffer.capacity == 9_000
+
+    @pytest.mark.parametrize("algorithm, agent_cls",
+                             [("ddpg", DdpgAgent), ("sac", SacAgent)],
+                             ids=["ddpg", "sac"])
+    def test_every_agent_option_is_set_from_the_config(self, monkeypatch,
+                                                        algorithm, agent_cls):
+        # an agent keyword that build_agent does not pass is a setting no
+        # ScenarioConfig field reaches: make it a constant instead
+        passed = {}
+        monkeypatch.setattr(
+            f"{agent_cls.__module__}.{agent_cls.__name__}",
+            lambda state_dim, action_dim, **kw: passed.update(kw))
+        cfg = tiny_cfg(algorithm=algorithm)
+        build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
+        options = {name for name, p in
+                   inspect.signature(agent_cls).parameters.items()
+                   if p.kind is p.KEYWORD_ONLY}
+        assert set(passed) == options
 
     def test_scenario_id_stable_and_sensitive(self):
         a, b = tiny_cfg(), tiny_cfg()
@@ -398,6 +419,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert f"config error: {key}" in err
+
+    def test_choices_are_the_tables(self):
+        [commands] = [a for a in build_parser()._actions
+                      if a.dest == "command"]
+        for parser in commands.choices.values():
+            choices = {a.dest: a.choices for a in parser._actions}
+            assert set(choices["protocol"]) == {p for _, p in SURFACES}
+            assert set(choices["baseline"]) == {v for v, _ in SURFACES}
+        sweep_choices = {a.dest: a.choices
+                         for a in commands.choices["sweep"]._actions}
+        assert sweep_choices["axis"] == list(SWEEP_AXES)
 
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "nope.cfg")])

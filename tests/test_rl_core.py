@@ -168,7 +168,7 @@ class TestAdam:
         # is lr * g/(|g| + eps) ~= lr * sign(g)
         p = np.array([1.0, -2.0, 3.0])
         g = np.array([0.5, -4.0, 1e-3])
-        opt = Adam([p], lr=0.01, eps=1e-8)
+        opt = Adam([p], lr=0.01)
         before = p.copy()
         opt.step([p], [g])
         expect = before - 0.01 * g / (np.abs(g) + 1e-8)
@@ -186,7 +186,7 @@ class TestAdam:
         p = rng.standard_normal(4)
         ref = p.copy()
         g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
-        opt = Adam([p], lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam([p], lr=0.05)
         opt.step([p], [g1])
         opt.step([p], [g2])
         m = np.zeros(4)
@@ -207,7 +207,7 @@ class TestAdam:
         m = [np.zeros(n) for n in sizes]
         v = [np.zeros(n) for n in sizes]
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=lr)
         for t in range(1, 6):
             grads = [rng.standard_normal(n) for n in sizes]
             opt.step(params, grads)

@@ -279,6 +279,6 @@ def test_soft_target_uses_normalized_rewards():
 def test_initial_policy_std_is_moderate():
     agent = SacAgent(5, 7, seed=0)
     _, log_std, _, _ = agent._policy_stats(np.zeros(5))
-    # head bias shifted by init_log_std, weights add only small jitter
+    # head bias shifted by INIT_LOG_STD, weights add only small jitter
     assert np.all(log_std < -1.0)
     assert np.all(log_std > -2.2)

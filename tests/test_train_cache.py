@@ -25,14 +25,13 @@ def test_digest_ignores_last_bits_but_not_real_changes():
     assert train_cache.digest(moved) != base
 
 
-@pytest.mark.parametrize("name,value", [("init_alpha", 0.02),
-                                        ("target_entropy", -1.0)])
+@pytest.mark.parametrize("name,value", [("INIT_ALPHA", 0.02),
+                                        ("INIT_LOG_STD", -1.6)])
 def test_changed_sac_default_changes_only_sac_keys(monkeypatch, name, value):
     sac_cfg, ddpg_cfg = train_cache.default_sac(), train_cache.default_ddpg()
     before = [train_cache.cache_path(sac_cfg, s) for s in sac_cfg.seeds]
     ddpg_before = train_cache.cache_path(ddpg_cfg, 0)
-    defaults = dict(sac.SacAgent.__init__.__kwdefaults__, **{name: value})
-    monkeypatch.setattr(sac.SacAgent.__init__, "__kwdefaults__", defaults)
+    monkeypatch.setattr(sac, name, value)
     train_cache.behaviour_digest.cache_clear()
     try:
         after = [train_cache.cache_path(sac_cfg, s) for s in sac_cfg.seeds]

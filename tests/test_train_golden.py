@@ -4,19 +4,33 @@ runs of each agent and surface variant, compared against committed values.
 Each run trains past the end of replay warm-up, so the first gradient
 updates and their effect on the actions are pinned too. The golden file
 holds, per run and environment step, the reward, the sum secrecy rate and
-the echo SNR. Run this module directly to regenerate it (``PYTHONPATH=src
-python3 tests/test_train_golden.py``); regenerate only for an intended
-change of behaviour, and say so where the change is recorded.
+the echo SNR. Run this module directly to regenerate it (``python3
+tests/test_train_golden.py``), or with ``--check`` to compare every value
+at ``==`` (see ``goldens.py``); regenerate only for an intended change of
+behaviour, and say so where the change is recorded. Run directly, BLAS
+uses GOLDEN_BLAS_THREADS threads, the count the file was made with.
 """
 import json
+import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-import pytest
+# after the first update the values' last bits depend on the BLAS thread
+# count, so the script pins it before numpy is first imported
+GOLDEN_BLAS_THREADS = "2"
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = GOLDEN_BLAS_THREADS
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from star_isac.experiments import (ScenarioConfig, _trainer, build_agent,
-                                   build_baseline)
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from star_isac.experiments import (ScenarioConfig, _trainer,  # noqa: E402
+                                   build_agent, build_baseline)
+
+import goldens  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "train_golden.json"
 
@@ -86,6 +100,4 @@ def test_run_matches_golden(golden, name):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: run(name) for name in RUNS},
-                                 indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    sys.exit(goldens.main(GOLDEN, list(RUNS), run))
