@@ -5,9 +5,8 @@ from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
                       path_loss_nlos, steering_bs, steering_ris)
 from .env import SecureIsacEnv
 from .experiments import ScenarioConfig, run_scenario, sweep
-from .physics import (SensingParams, StepOutcome, TransmitDesign,
-                      echo_snr_lower_bound, effective_channels, evaluate,
-                      evaluate_conjugated, matched_echo_snr, optimal_filter,
+from .physics import (SensingParams, StepOutcome, echo_snr_lower_bound,
+                      effective_channels, evaluate, optimal_filter,
                       project_power, reward, score, secrecy_rate, sinrs)
 from .star_ris import (SURFACES, decode, es_coefficients, es_power_split,
                        ts_periods)
@@ -18,10 +17,10 @@ __all__ = [
     "steering_bs", "steering_ris",
     "SecureIsacEnv",
     "ScenarioConfig", "run_scenario", "sweep",
-    "SensingParams", "StepOutcome", "TransmitDesign",
+    "SensingParams", "StepOutcome",
     "echo_snr_lower_bound", "effective_channels", "evaluate",
-    "evaluate_conjugated", "matched_echo_snr", "optimal_filter",
-    "project_power", "reward", "score", "secrecy_rate", "sinrs",
+    "optimal_filter", "project_power", "reward", "score", "secrecy_rate",
+    "sinrs",
     "SURFACES", "decode", "es_coefficients", "es_power_split", "ts_periods",
 ]
 

@@ -8,7 +8,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import (SWEEP_AXES, ConfigError, ScenarioConfig,
+from .experiments import (AGENTS, SWEEP_AXES, ConfigError, ScenarioConfig,
                           load_config, run_scenario, sweep)
 from .star_ris import SURFACES
 
@@ -16,7 +16,7 @@ from .star_ris import SURFACES
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat dotted-key config file")
     p.add_argument("--out", metavar="DIR", default="results", help="output directory")
-    p.add_argument("--algo", choices=["ddpg", "sac"])
+    p.add_argument("--algo", choices=list(AGENTS))
     p.add_argument("--protocol", choices=list(dict.fromkeys(
         protocol for _, protocol in SURFACES)))
     p.add_argument("--baseline", choices=list(dict.fromkeys(

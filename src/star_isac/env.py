@@ -1,8 +1,8 @@
 """Episodic MDP wrapper around the physical layer.
 
 One episode is T quasi-static fading slots. Actions are raw vectors in
-[-1, 1]^dim; the environment decodes them into a power-feasible transmit
-design plus a feasible surface configuration, computes the closed-form
+[-1, 1]^dim; the environment decodes them into a power-feasible beam
+matrix K plus a feasible surface configuration, computes the closed-form
 receive filters, and scores the step with the constraint-aware reward.
 Receive filters are never part of the action.
 """
@@ -118,19 +118,19 @@ class SecureIsacEnv:
 
     # ---- action decoding ------------------------------------------------
     def decode_action(self, raw: np.ndarray):
-        """(power-feasible design, surface periods) for a raw action in
-        [-1, 1]^action_dim, of the shape and range ``step`` checks and
-        clips it to; the surface state is a list of (weight, Phi_A, Phi_B)
-        periods, see ``physics``."""
+        """(K, surface periods) for a raw action in [-1, 1]^action_dim, of
+        the shape and range ``step`` checks and clips it to. K is the
+        power-feasible L x (M+L) beam matrix, M communication columns then
+        L radar columns, in column-major order; the surface state is a
+        list of (weight, Phi_A, Phi_B) periods, see ``physics``."""
         nb = self._beam_len // 2
         # column-major: the products with K must run in this layout, as a
         # row-major copy of K moves the last bits of the rates
         K_raw = (raw[:nb] + 1j * raw[nb:self._beam_len]).reshape(
             self.L, self.L + self.M, order="F")
         K_raw *= self._beam_scale
-        design = physics.project_power(K_raw, self.M, self.p_max)
-        return design, star_ris.decode(self.variant, self.mode,
-                                       raw[self._beam_len:])
+        return (physics.project_power(K_raw, self.p_max),
+                star_ris.decode(self.variant, self.mode, raw[self._beam_len:]))
 
     # ---- stepping ---------------------------------------------------------
     def step(self, raw_action: np.ndarray) -> StepOutcome:
@@ -152,11 +152,11 @@ class SecureIsacEnv:
         # np.clip on finite input, without its Python-level overhead
         raw = np.maximum(raw, -1.0)
         np.minimum(raw, 1.0, out=raw)
-        design, periods = self.decode_action(raw)
+        K, periods = self.decode_action(raw)
         t = self.t
-        lu, eve, st, echo = physics.evaluate_conjugated(
-            self.channels.H[t], self._D_conj[t], self._R_conj[t], periods,
-            design, self.noise_power, self.sensing)
+        lu, eve, st, echo = physics.evaluate(
+            self.channels.H[t], self._D_conj[t], self._R_conj[t], periods, K,
+            self.noise_power, self.sensing)
         out = physics.score(lu, eve, st, echo, self.r_min,
                             self.sensing.kappa_t)
 

@@ -27,6 +27,9 @@ from .rl_core import NonFiniteLoss
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
 
+# algorithm -> (module whose ``train`` runs it, agent class)
+AGENTS = {"ddpg": (ddpg, ddpg.DdpgAgent), "sac": (sac, sac.SacAgent)}
+
 
 class ConfigError(ValueError):
     pass
@@ -91,7 +94,7 @@ class ScenarioConfig:
         if self.buffer_capacity < 10 * self.batch_size:
             raise ConfigError("buffer_capacity must hold the 10 batches "
                               "that updates wait for (10 * batch_size)")
-        if self.algorithm not in ("ddpg", "sac"):
+        if self.algorithm not in AGENTS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if (self.baseline, self.protocol) not in star_ris.SURFACES:
             supported = ", ".join(f"{b}/{p}" for b, p in star_ris.SURFACES)
@@ -273,13 +276,12 @@ def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):
     common = dict(hidden=hidden, lr=cfg.lr, gamma=cfg.gamma,
                   soft_rate=cfg.soft_rate, buffer_capacity=capacity,
                   batch_size=cfg.batch_size, seed=seed)
-    if cfg.algorithm == "ddpg":
-        return ddpg.DdpgAgent(env.state_dim, env.action_dim, **common)
-    return sac.SacAgent(env.state_dim, env.action_dim, **common)
+    return AGENTS[cfg.algorithm][1](env.state_dim, env.action_dim, **common)
 
 
 def _trainer(cfg: ScenarioConfig):
-    return ddpg.train if cfg.algorithm == "ddpg" else sac.train
+    # looked up on the module at each call, so a rebound ``train`` is used
+    return AGENTS[cfg.algorithm][0].train
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +432,21 @@ SWEEP_AXES = {
 
 def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     """One run_scenario per axis value; long-format sweep.csv keyed by
-    the axis value. Every value is checked before any is trained."""
+    the axis value. Every value is checked before any is trained, and
+    none may repeat another once cast."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unsupported sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name, cast = SWEEP_AXES[axis]
-    sub_cfgs = []
+    sub_cfgs, seen = [], set()
     for value in values:
         try:
-            sub_cfgs.append(replace(cfg, **{field_name: cast(value)}))
+            cast_value = cast(value)
+            if cast_value in seen:
+                raise ConfigError(f"{cast_value!r} appears twice")
+            seen.add(cast_value)
+            sub_cfgs.append(replace(cfg, **{field_name: cast_value}))
         except ValueError as exc:  # ConfigError, or a failed cast
             raise ConfigError(f"sweep axis {axis} = {value!r}: {exc}") from exc
     out = Path(out_dir)

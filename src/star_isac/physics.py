@@ -5,19 +5,20 @@ filters, power projection, and the constraint-aware reward.
 Every receiver k sees the effective channel h_k^H = r_k^H diag(phi) H +
 d_k^H, where phi is the surface on its side: Phi_B for the users and
 Eve, Phi_A for the sensing target. ``effective_channels`` stacks all
-M+2 rows at once, and one |h^H K|^2 matrix gives every SINR: user m
-reads entry [m, m], Eve row M and the target row M+1. The beamformers
-are one L x (M+L) matrix K, M communication columns then L radar
-columns (``TransmitDesign``). A surface state is a list of (weight,
+M+2 rows at once from the conjugated receiver links d_k^H and r_k^H
+(a caller scoring many slots of one channel draw conjugates them once),
+and one |h^H K|^2 matrix gives every SINR: user m reads entry [m, m],
+Eve row M and the target row M+1. The beamformers are one bare
+L x (M+L) array K, M communication columns then L radar columns, so
+M = K.shape[1] - K.shape[0]. A surface state is a list of (weight,
 Phi_A, Phi_B) periods with length-N coefficient vectors: ES and the
 single-surface baselines have one period of weight 1, TS has two (see
 ``star_ris.ts_periods``). Rates and the echo SNR are the weighted sums
-over periods.
+over periods; the echo SNR of a period is ``echo_snr_lower_bound`` at
+``optimal_filter``.
 
-``evaluate`` scores a slot from its links; ``evaluate_conjugated`` does
-the same from the conjugated receiver links d_k^H and r_k^H, which a
-caller scoring many slots of one channel draw conjugates once. ``score``
-turns a slot's rates and echo SNR into the step's record.
+``evaluate`` scores a slot from its links, and ``score`` turns a slot's
+rates and echo SNR into the step's record.
 
 Rates are log2 (bps/Hz). SINR/SNR values and the echo threshold are
 linear; dB conversion happens once at config load. Reductions call
@@ -38,28 +39,6 @@ class PhysicsError(ValueError):
 class DegenerateFilterError(PhysicsError):
     """Beamformer orthogonal to the sensing channel: the Rayleigh
     quotient has no maximizer direction."""
-
-
-@dataclass
-class TransmitDesign:
-    """BS beamformers K = [K_s K_w] of shape L x (M+L): M communication
-    columns K_s, then L radar columns K_w. K is kept as built, and K_s
-    and K_w are views of it."""
-
-    K: np.ndarray
-    M: int
-
-    @classmethod
-    def from_columns(cls, K_s: np.ndarray, K_w: np.ndarray) -> "TransmitDesign":
-        return cls(np.concatenate([K_s, K_w], axis=1), K_s.shape[1])
-
-    @property
-    def K_s(self) -> np.ndarray:
-        return self.K[:, :self.M]
-
-    @property
-    def K_w(self) -> np.ndarray:
-        return self.K[:, self.M:]
 
 
 @dataclass(frozen=True)
@@ -94,29 +73,25 @@ class StepOutcome:
 # ---------------------------------------------------------------------------
 # receiver-stacked kernel
 
-def effective_channels(D: np.ndarray, R: np.ndarray, H: np.ndarray,
-                       phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+def effective_channels(D_conj: np.ndarray, R_conj: np.ndarray,
+                       H: np.ndarray, phi_a: np.ndarray,
+                       phi_b: np.ndarray) -> np.ndarray:
     """Rows h_k^H = r_k^H diag(phi) H + d_k^H of all M+2 receivers, as an
-    (M+2) x L matrix: side-B rows read phi_b, the target row reads phi_a."""
-    return _effective_rows(D.conj(), R.conj(), H, phi_a, phi_b)
-
-
-def _effective_rows(D_conj, R_conj, H, phi_a, phi_b):
-    """``effective_channels`` from the conjugated links."""
+    (M+2) x L matrix, from the conjugated links D^* ((M+2) x L) and R^*
+    ((M+2) x N): side-B rows read phi_b, the target row reads phi_a."""
     cascade = np.empty(R_conj.shape, complex)
     np.multiply(R_conj[:-1], phi_b, out=cascade[:-1])
     np.multiply(R_conj[-1], phi_a, out=cascade[-1])
     return cascade @ H + D_conj
 
 
-def sinrs(h_eff: np.ndarray, design: TransmitDesign,
-          sigma2: float) -> np.ndarray:
+def sinrs(h_eff: np.ndarray, K: np.ndarray, sigma2: float) -> np.ndarray:
     """(M+2) x M matrix: entry [k, m] is the SINR of user m's stream at
     receiver k, all read off one |h^H K|^2 matrix."""
     if sigma2 <= 0:
         raise PhysicsError("noise variance must be positive")
-    M = design.M
-    power = np.abs(h_eff @ design.K)
+    M = K.shape[1] - K.shape[0]
+    power = np.abs(h_eff @ K)
     np.square(power, out=power)
     streams = power[:, :M]
     # (all streams - own stream + radar columns) + noise, in this order:
@@ -140,48 +115,15 @@ def secrecy_rate(r_lu, r_eve, r_st):
 # ---------------------------------------------------------------------------
 # sensing
 
-def echo_snr_lower_bound(g_s: np.ndarray, design: TransmitDesign,
-                         u: np.ndarray, sensing: SensingParams) -> float:
+def echo_snr_lower_bound(g_s: np.ndarray, K: np.ndarray, u: np.ndarray,
+                         sensing: SensingParams) -> float:
     """Jensen lower bound on the matched-filtered echo SNR.
 
     Evaluates P*tau^2*|u^H (I (x) H_s) k|^2 / (sigma_s^2 u^H u) with
     H_s = g_s g_s^H; block structure is exploited instead of forming the
     Kronecker product.
     """
-    return _jensen_bound(g_s, design.K, np.asarray(u).reshape(-1), sensing)
-
-
-def optimal_filter(g_s: np.ndarray, design: TransmitDesign) -> np.ndarray:
-    """Closed-form Rayleigh-quotient maximizer of the echo SNR.
-
-    Direction (I (x) H_s) k; the paper's normalization by
-    k^H (I (x) H_s^H H_s) k only rescales and the SNR is scale-invariant.
-    """
-    return _filter(g_s, g_s.conj() @ design.K)
-
-
-def matched_echo_snr(g_s: np.ndarray, design: TransmitDesign,
-                     sensing: SensingParams) -> float:
-    """``echo_snr_lower_bound`` at ``optimal_filter``, the two sharing
-    the beam gains g_s^H K. Raises ``DegenerateFilterError`` where the
-    filter has no direction."""
-    gain = g_s.conj() @ design.K
-    return _jensen_bound(g_s, design.K, _filter(g_s, gain), sensing, gain)
-
-
-def _filter(g_s, gain):
-    """The closed-form filter for gain = g_s^H K."""
-    # (I (x) H_s) k stacks H_s k_c = g (g^H k_c) over the columns c of K;
-    # row c of this (M+L) x L product is block c of u
-    u = (g_s * gain[:, None]).reshape(-1)
-    denom = np.vdot(u, u).real
-    if denom < 1e-300:
-        raise DegenerateFilterError("beamformer orthogonal to sensing channel")
-    return u / denom
-
-
-def _jensen_bound(g_s, K, u, sensing, gain=None):
-    """The bound for a flat filter u; gain = g_s^H K if already formed."""
+    u = np.asarray(u).reshape(-1)
     nrm = np.vdot(u, u).real
     if nrm == 0.0:
         raise PhysicsError("receive filter must be nonzero")
@@ -189,41 +131,48 @@ def _jensen_bound(g_s, K, u, sensing, gain=None):
     U = u.reshape(L, -1, order="F")
     if U.shape[1] != K.shape[1]:
         raise PhysicsError("filter length must be L*(M+L)")
-    if gain is None:
-        gain = g_s.conj() @ K
     # u^H (I (x) H_s) k = sum_c u_c^H g_s g_s^H k_c
-    val = np.add.reduce(U.conj().T @ g_s * gain)
+    val = np.add.reduce(U.conj().T @ g_s * (g_s.conj() @ K))
     num = sensing.P * sensing.tau ** 2 * np.abs(val) ** 2
     return float(num / (sensing.sigma_s2 * nrm))
+
+
+def optimal_filter(g_s: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Closed-form Rayleigh-quotient maximizer of the echo SNR.
+
+    Direction (I (x) H_s) k; the paper's normalization by
+    k^H (I (x) H_s^H H_s) k only rescales and the SNR is scale-invariant.
+    Raises ``DegenerateFilterError`` where the filter has no direction.
+    """
+    # (I (x) H_s) k stacks H_s k_c = g (g^H k_c) over the columns c of K;
+    # row c of this (M+L) x L product is block c of u
+    u = (g_s * (g_s.conj() @ K)[:, None]).reshape(-1)
+    denom = np.vdot(u, u).real
+    if denom < 1e-300:
+        raise DegenerateFilterError("beamformer orthogonal to sensing channel")
+    return u / denom
 
 
 # ---------------------------------------------------------------------------
 # one slot, summed over the surface's periods
 
-def evaluate(H: np.ndarray, D: np.ndarray, R: np.ndarray, periods,
-             design: TransmitDesign, sigma2: float, sensing: SensingParams):
+def evaluate(H: np.ndarray, D_conj: np.ndarray, R_conj: np.ndarray,
+             periods, K: np.ndarray, sigma2: float, sensing: SensingParams):
     """(LU, Eve, target rates per user, echo SNR) of one slot with scaled
-    links H (N x L), D ((M+2) x L) and R ((M+2) x N), receivers stacked
-    as in ``effective_channels``; each the weighted sum over the
-    (weight, Phi_A, Phi_B) periods. The echo SNR of a period is taken at
-    its closed-form filter, and is 0 where the target's channel is
+    links H (N x L) and conjugated D^*, R^*, receivers stacked as in
+    ``effective_channels``; each the weighted sum over the (weight,
+    Phi_A, Phi_B) periods. The echo SNR of a period is taken at its
+    closed-form filter, and is 0 where the target's channel is
     degenerate."""
-    return evaluate_conjugated(H, D.conj(), R.conj(), periods, design,
-                               sigma2, sensing)
-
-
-def evaluate_conjugated(H: np.ndarray, D_conj: np.ndarray,
-                        R_conj: np.ndarray, periods, design: TransmitDesign,
-                        sigma2: float, sensing: SensingParams):
-    """``evaluate`` from the conjugated links D^* and R^*."""
-    M = design.M
+    M = K.shape[1] - K.shape[0]
     rates = echo = 0.0
     for weight, phi_a, phi_b in periods:
-        h_eff = _effective_rows(D_conj, R_conj, H, phi_a, phi_b)
-        rates = rates + weight * rate(sinrs(h_eff, design, sigma2))
+        h_eff = effective_channels(D_conj, R_conj, H, phi_a, phi_b)
+        rates = rates + weight * rate(sinrs(h_eff, K, sigma2))
+        g_s = h_eff[M + 1].conj()
         try:
-            echo += weight * matched_echo_snr(h_eff[M + 1].conj(), design,
-                                              sensing)
+            echo += weight * echo_snr_lower_bound(
+                g_s, K, optimal_filter(g_s, K), sensing)
         except DegenerateFilterError:
             pass
     return rates.diagonal().copy(), rates[M], rates[M + 1], echo
@@ -232,15 +181,13 @@ def evaluate_conjugated(H: np.ndarray, D_conj: np.ndarray,
 # ---------------------------------------------------------------------------
 # constraints and reward
 
-def project_power(K_raw: np.ndarray, M: int, P_0: float) -> TransmitDesign:
-    """Scale K down onto the total-power ball trace(K K^H) <= P_0;
-    directions are preserved. Within the budget the design holds K_raw
-    itself."""
+def project_power(K_raw: np.ndarray, P_0: float) -> np.ndarray:
+    """K scaled down onto the total-power ball trace(K K^H) <= P_0;
+    directions are preserved. Within the budget this is K_raw itself."""
     if P_0 <= 0:
         raise PhysicsError("power budget must be positive")
     tr = np.add.reduce(np.abs(K_raw) ** 2, axis=None)
-    K = K_raw if tr <= P_0 else K_raw * np.sqrt(P_0 / tr)
-    return TransmitDesign(K, M)
+    return K_raw if tr <= P_0 else K_raw * np.sqrt(P_0 / tr)
 
 
 def reward(echo_snr: float, lu_rates: np.ndarray, sum_secrecy: float,

@@ -15,11 +15,11 @@ in [-1, 1] onto a feasible surface by construction:
   side are reached via the direct BS links only.
 
 ``es_coefficients`` and ``ts_periods`` build the STAR surfaces from
-physical parameters; the STAR decoders share their code. Each decoder
-runs only the elementwise operations of its formulas, in place where it
-can: the two ES surfaces are the rows of one array, and the STAR
-decoders form exp(j x) as ``exp`` of a zero array whose imaginary part
-holds x.
+physical parameters, and the STAR decoders call them. They run only the
+elementwise operations of their formulas, in place where they can: the
+two ES surfaces are the rows of one array, as are the two energy shares
+``es_power_split`` returns, and exp(j x) is formed as ``exp`` of a zero
+array whose imaginary part holds x.
 """
 from __future__ import annotations
 
@@ -40,49 +40,38 @@ def _wrap_pi_inplace(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def es_power_split(theta: np.ndarray):
-    """(alpha_A^2, alpha_B^2) = (cos^2 theta, sin^2 theta).
+def es_power_split(theta: np.ndarray) -> np.ndarray:
+    """[alpha_A^2, alpha_B^2] = [cos^2 theta, sin^2 theta], the rows of
+    one 2 x N array (callers unpack it as ``a_sq, b_sq``).
 
     The double complement makes the two sum to 1.0 exactly in floating
     point (one side always lands in the Sterbenz-exact subtraction
     region).
     """
     split = np.empty((2, *np.shape(theta)))
-    _power_split_into(split, theta)
-    return split[0], split[1]
-
-
-def _power_split_into(split: np.ndarray, theta) -> None:
-    """``es_power_split`` written into split[0] and split[1]."""
     b_sq = np.sin(theta, out=split[1, ...])
     np.square(b_sq, out=b_sq)
     np.subtract(1.0, b_sq, out=b_sq)
     np.subtract(1.0, b_sq, out=b_sq)
     np.subtract(1.0, b_sq, out=split[0, ...])
+    return split
 
 
 def es_coefficients(theta: np.ndarray, phi_b: np.ndarray, sign: np.ndarray):
-    """ES per-element coefficients (Phi_A, Phi_B), |A|^2 + |B|^2 = 1:
-    theta in [0, pi/2] splits the energy, and phi_A = phi_B + sign*pi/2
-    with sign = +-1."""
-    theta, phi_b, sign = np.broadcast_arrays(theta, phi_b, sign)
-    return _es_pair(theta, np.array(phi_b, dtype=float),
-                    np.multiply(sign, np.pi) / 2.0)
-
-
-def _es_pair(theta, phi_b, quarter):
-    """(Phi_A, Phi_B) for phase phi_b and the signed quarter turn
-    ``quarter`` from phi_B to phi_A. The two surfaces are the rows of
-    one 2 x N array, so that one sqrt, exp and product serve both."""
-    split = np.empty((2, *phi_b.shape))
-    _power_split_into(split, theta)
+    """ES per-element coefficients (Phi_A, Phi_B), |A|^2 + |B|^2 = 1, for
+    arrays of one length N: theta in [0, pi/2] splits the energy, and
+    phi_A = phi_B + sign*pi/2 with sign = +-1. The two surfaces are the
+    rows of one 2 x N array, so that one sqrt, exp and product serve
+    both."""
+    split = es_power_split(theta)
     # the phases are written into the imaginary part of a zero array,
     # which exp then turns into exp(j phase) in place
     coef = np.zeros(split.shape, complex)
     phase = coef.imag
     phase[1] = phi_b
     _wrap_pi_inplace(phase[1, ...])
-    np.add(phase[1], quarter, out=phase[0, ...])
+    # sign * (pi/2) is exact for sign = +-1
+    np.add(phase[1], np.multiply(sign, np.pi / 2.0), out=phase[0, ...])
     _wrap_pi_inplace(phase[0, ...])
     np.exp(coef, out=coef)
     np.multiply(np.sqrt(split), coef, out=coef)
@@ -102,16 +91,12 @@ def ts_periods(pi_1: float, phi_a: np.ndarray, phi_b: np.ndarray) -> list:
     users see only their direct links; this model has not been checked
     against that reading.
     """
-    faces = np.zeros(2 * np.size(phi_a), complex)
-    faces.imag = np.concatenate([np.ravel(phi_a), np.ravel(phi_b)])
-    return _ts_periods(pi_1, faces)
-
-
-def _ts_periods(pi_1: float, faces: np.ndarray) -> list:
-    """``ts_periods`` from j*[phi_a, phi_b], a complex array with zero
-    real part, which becomes [Phi_A^TS, Phi_B^TS] in place."""
-    n = faces.size // 2
+    n = np.size(phi_a)
+    # [Phi_A^TS, Phi_B^TS] as exp of j*[phi_a, phi_b], in place
+    faces = np.zeros(2 * n, complex)
     angle = faces.imag
+    angle[:n] = phi_a
+    angle[n:] = phi_b
     np.mod(angle, 2.0 * np.pi, out=angle)
     np.exp(faces, out=faces)
     dark = np.zeros(n)
@@ -124,17 +109,15 @@ def _star_es(raw: np.ndarray) -> list:
     n = raw.size // 3
     theta = raw[:n] + 1.0
     theta *= np.pi / 4.0
-    return [(1.0, *_es_pair(theta, raw[n:2 * n] * np.pi,
-                            np.where(raw[2 * n:] >= 0.0, np.pi / 2.0,
-                                     -np.pi / 2.0)))]
+    return [(1.0, *es_coefficients(theta, raw[n:2 * n] * np.pi,
+                                   np.where(raw[2 * n:] >= 0.0, 1.0, -1.0)))]
 
 
 def _star_ts(raw: np.ndarray) -> list:
-    faces = np.zeros(raw.size - 1, complex)
-    angle = faces.imag
-    np.add(raw[1:], 1.0, out=angle)
-    angle *= np.pi
-    return _ts_periods(float((raw[0] + 1.0) / 2.0), faces)
+    n = raw.size // 2
+    phi = raw[1:] + 1.0
+    phi *= np.pi
+    return ts_periods(float((raw[0] + 1.0) / 2.0), phi[:n], phi[n:])
 
 
 def _spliced(raw: np.ndarray) -> list:

@@ -16,7 +16,7 @@ from star_isac import physics
 from star_isac.ddpg import DdpgAgent
 from star_isac.experiments import (ScenarioConfig, measure_runtime,
                                    run_scenario)
-from star_isac.physics import SensingParams, TransmitDesign
+from star_isac.physics import SensingParams
 from star_isac.rl_core import critic_mse
 from star_isac.sac import SacAgent
 from star_isac.star_ris import decode, es_power_split, ts_periods
@@ -38,17 +38,18 @@ def _instance(rng):
     M = int(rng.integers(1, 4))
     inst = random_instance(rng, L=L, N=N, M=M)
     ch = (inst["H"],
-          np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
-          np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
-    design = TransmitDesign.from_columns(K_s=inst["K_s"], K_w=inst["K_w"])
-    return inst, ch, design, L, N, M
+          np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
+          np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj())
+    K = np.concatenate([inst["K_s"], inst["K_w"]], axis=1)
+    return inst, ch, K, L, N, M
 
 
 def _channels(ch, phi_a, phi_b):
     """Effective channels of every receiver (users, Eve, target) for
-    surfaces given as coefficient vectors; ch is the (H, D, R) triple."""
-    H, D, R = ch
-    return physics.effective_channels(D, R, H, phi_a, phi_b)
+    surfaces given as coefficient vectors; ch is the (H, D^*, R^*)
+    triple."""
+    H, D_conj, R_conj = ch
+    return physics.effective_channels(D_conj, R_conj, H, phi_a, phi_b)
 
 
 def _target(ch, inst):
@@ -63,11 +64,11 @@ def test_criterion_01_physics_oracles():
     worst = 0.0
     sensing = SensingParams(tau=1.3, P=5, sigma_s2=0.7, kappa_t=1.0)
     for _ in range(100):
-        inst, ch, design, L, N, M = _instance(rng)
+        inst, ch, K, L, N, M = _instance(rng)
         phi_a, phi_b = inst["phi_a"], inst["phi_b"]
         sigma2 = float(rng.uniform(0.5, 2.0))
         h_eff = _channels(ch, np.diag(phi_a), np.diag(phi_b))
-        sinr = physics.sinrs(h_eff, design, sigma2)
+        sinr = physics.sinrs(h_eff, K, sigma2)
         for m in range(M):
             pairs = [
                 (sinr[m, m],
@@ -94,8 +95,8 @@ def test_criterion_01_physics_oracles():
         g_s = h_eff[-1].conj()
         u = rng.standard_normal(L * (L + M)) \
             + 1j * rng.standard_normal(L * (L + M))
-        got = physics.echo_snr_lower_bound(g_s, design, u, sensing)
-        want = naive_echo_snr(g_s, design.K, u, sensing.P, sensing.tau,
+        got = physics.echo_snr_lower_bound(g_s, K, u, sensing)
+        want = naive_echo_snr(g_s, K, u, sensing.P, sensing.tau,
                               sensing.sigma_s2)
         worst = max(worst, abs(got - want) / max(abs(want), 1.0))
     _report(1, "physics oracle suite", worst < 1e-10,
@@ -135,35 +136,35 @@ def test_criterion_03_filter_optimality():
     violations = 0
     worst_scale = 0.0
     for _ in range(100):
-        inst, ch, design, L, N, M = _instance(rng)
+        inst, ch, K, L, N, M = _instance(rng)
         g_s = _target(ch, inst)
-        star = physics.optimal_filter(g_s, design)
-        best = physics.echo_snr_lower_bound(g_s, design, star, sensing)
+        star = physics.optimal_filter(g_s, K)
+        best = physics.echo_snr_lower_bound(g_s, K, star, sensing)
         n = star.size
         draws = rng.standard_normal((1000, n)) \
             + 1j * rng.standard_normal((1000, n))
         for u in draws:
-            if physics.echo_snr_lower_bound(g_s, design, u, sensing) \
+            if physics.echo_snr_lower_bound(g_s, K, u, sensing) \
                     > best * (1 + 1e-12):
                 violations += 1
-        scaled = physics.echo_snr_lower_bound(g_s, design, 7.3 * star, sensing)
+        scaled = physics.echo_snr_lower_bound(g_s, K, 7.3 * star, sensing)
         worst_scale = max(worst_scale, abs(scaled - best) / max(best, 1.0))
     # TS filters: each term's closed form dominates the same random draws
     ts_violations = 0
     for _ in range(20):
         rng2 = np.random.default_rng(int(rng.integers(1 << 31)))
-        inst, ch, design, L, N, M = _instance(rng2)
+        inst, ch, K, L, N, M = _instance(rng2)
         periods = ts_periods(float(rng2.uniform()),
                              rng2.uniform(0, 2 * np.pi, N),
                              rng2.uniform(0, 2 * np.pi, N))
-        best = physics.evaluate(*ch, periods, design, 1.0, sensing)[3]
+        best = physics.evaluate(*ch, periods, K, 1.0, sensing)[3]
         targets = [(w, _channels(ch, pa, pb)[-1].conj())
                    for w, pa, pb in periods]
-        n = design.K.size
+        n = K.size
         for _ in range(1000):
             v1 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
             v2 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
-            got = sum(w * physics.echo_snr_lower_bound(g, design, v, sensing)
+            got = sum(w * physics.echo_snr_lower_bound(g, K, v, sensing)
                       for (w, g), v in zip(targets, (v1, v2)))
             if got > best * (1 + 1e-12):
                 ts_violations += 1
@@ -178,12 +179,12 @@ def test_criterion_04_jensen_bound():
     violations = 0
     min_margin = np.inf
     for _ in range(100):
-        inst, ch, design, L, N, M = _instance(rng)
+        inst, ch, K, L, N, M = _instance(rng)
         g_s = _target(ch, inst)
-        u = physics.optimal_filter(g_s, design)
+        u = physics.optimal_filter(g_s, K)
         bound = physics.echo_snr_lower_bound(
-            g_s, design, u, SensingParams(1.3, 5, 0.7, 1.0))
-        mc = naive_echo_snr_montecarlo(g_s, design.K, u, 5, 1.3, 0.7,
+            g_s, K, u, SensingParams(1.3, 5, 0.7, 1.0))
+        mc = naive_echo_snr_montecarlo(g_s, K, u, 5, 1.3, 0.7,
                                        draws=1000, rng=rng)
         slack = 1e-9 * max(bound, 1.0)
         min_margin = min(min_margin, (mc - bound) / max(bound, 1e-12))

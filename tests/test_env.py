@@ -192,8 +192,8 @@ class TestStepPhysics:
         env.reset()
         rng = np.random.default_rng(4)
         for _ in range(20):
-            design, _ = env.decode_action(rng.uniform(-1, 1, env.action_dim))
-            tr = np.trace(design.K @ design.K.conj().T).real
+            K, _ = env.decode_action(rng.uniform(-1, 1, env.action_dim))
+            tr = np.trace(K @ K.conj().T).real
             assert tr <= env.p_max * (1 + 1e-12)
 
     def test_reward_consistent_with_parts(self):
@@ -218,11 +218,11 @@ class TestStepPhysics:
         env.reset()
         D = env.channels.D[0]
         raw = np.random.default_rng(6).uniform(-1, 1, env.action_dim)
-        design, [(_, _, phi_b)] = env.decode_action(raw)
+        K, [(_, _, phi_b)] = env.decode_action(raw)
         assert np.allclose(phi_b, 0.0)
         out = env.step(raw)
         for m in range(env.M):
-            oracle = naive_sinr(np.conj(D[m]), design.K_s, design.K_w,
+            oracle = naive_sinr(np.conj(D[m]), K[:, :env.M], K[:, env.M:],
                                 m, env.noise_power)
             assert out.lu_rates[m] == pytest.approx(
                 np.log2(1 + oracle.real), rel=1e-10)
@@ -304,8 +304,8 @@ class TestStepBitExact:
         env.reset()
         raw = np.random.default_rng(14).uniform(-1.0, 1.0, env.action_dim)
         raw[:env._beam_len] = entry
-        design, _ = env.decode_action(raw)
-        power = float(np.sum(np.abs(design.K) ** 2))
+        K, _ = env.decode_action(raw)
+        power = float(np.sum(np.abs(K) ** 2))
         if projected:
             assert power == pytest.approx(env.p_max, rel=1e-12)
         else:

@@ -9,7 +9,7 @@ import pytest
 
 from star_isac.cli import build_parser, main as cli_main
 from star_isac.env import SecureIsacEnv
-from star_isac.experiments import (DEFAULT_GEOMETRY, FINAL_WINDOW,
+from star_isac.experiments import (AGENTS, DEFAULT_GEOMETRY, FINAL_WINDOW,
                                    SWEEP_AXES, ConfigError, RunError,
                                    ScenarioConfig, build_agent,
                                    build_baseline, episode_returns,
@@ -110,9 +110,10 @@ class TestConfig:
         # an agent keyword that build_agent does not pass is a setting no
         # ScenarioConfig field reaches: make it a constant instead
         passed = {}
-        monkeypatch.setattr(
-            f"{agent_cls.__module__}.{agent_cls.__name__}",
-            lambda state_dim, action_dim, **kw: passed.update(kw))
+        monkeypatch.setitem(
+            AGENTS, algorithm,
+            (AGENTS[algorithm][0],
+             lambda state_dim, action_dim, **kw: passed.update(kw)))
         cfg = tiny_cfg(algorithm=algorithm)
         build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
         options = {name for name, p in
@@ -309,6 +310,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(tiny_cfg(), "lr", [], tmp_path)
 
+    def test_value_repeated_after_cast_rejected(self, tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(ConfigError, match=r"^sweep axis lr = '0.0001': "
+                                              r"0.0001 appears twice$"):
+            sweep(tiny_cfg(), "lr", ["1e-4", "1e-3", "0.0001"], out)
+        assert not out.exists()
+
 
 class TestCli:
     def write_cfg(self, tmp_path):
@@ -346,6 +354,19 @@ class TestCli:
         assert rc == 2, err
         bad = values.split(",")[-1]
         assert f"config error: sweep axis N = {bad!r}: " in err and why in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["8,8", "4,04"])
+    def test_sweep_repeated_value_exit_two_before_training(
+            self, tmp_path, capsys, values):
+        out = tmp_path / "sw"
+        rc = cli_main(["sweep", "--config", self.write_cfg(tmp_path),
+                       "--axis", "N", "--values", values, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        bad = values.split(",")[-1]
+        assert (f"config error: sweep axis N = {bad!r}: {int(bad)} appears "
+                "twice") in err
         assert not out.exists()
 
     def test_non_finite_reward_exit_three(self, tmp_path, capsys, monkeypatch):
@@ -425,6 +446,7 @@ class TestCli:
                       if a.dest == "command"]
         for parser in commands.choices.values():
             choices = {a.dest: a.choices for a in parser._actions}
+            assert choices["algo"] == list(AGENTS)
             assert set(choices["protocol"]) == {p for _, p in SURFACES}
             assert set(choices["baseline"]) == {v for v, _ in SURFACES}
         sweep_choices = {a.dest: a.choices

@@ -2,32 +2,32 @@ import numpy as np
 import pytest
 
 from star_isac.physics import (DegenerateFilterError, PhysicsError,
-                               SensingParams, TransmitDesign,
-                               echo_snr_lower_bound, effective_channels,
-                               evaluate, optimal_filter, project_power,
-                               reward, secrecy_rate, sinrs)
+                               SensingParams, echo_snr_lower_bound,
+                               effective_channels, evaluate, optimal_filter,
+                               project_power, reward, secrecy_rate, sinrs)
 
 from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
                      naive_effective_channel, naive_sinr, random_instance)
 
 
 def make_channel(inst):
-    """(H, D, R) with receivers stacked as users, Eve, target; unit
+    """(H, D^*, R^*) with receivers stacked as users, Eve, target; unit
     amplitudes."""
     return (inst["H"],
-            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]),
-            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]))
+            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
+            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj())
 
 
-def make_design(inst):
-    return TransmitDesign.from_columns(K_s=inst["K_s"], K_w=inst["K_w"])
+def make_K(inst):
+    """The beam matrix [K_s K_w]."""
+    return np.concatenate([inst["K_s"], inst["K_w"]], axis=1)
 
 
 def es_channels(inst):
     """Effective channels of every receiver under the instance's ES
     surfaces (the oracle instances hold them as diagonal matrices)."""
-    H, D, R = make_channel(inst)
-    return effective_channels(D, R, H, np.diag(inst["phi_a"]),
+    H, D_conj, R_conj = make_channel(inst)
+    return effective_channels(D_conj, R_conj, H, np.diag(inst["phi_a"]),
                               np.diag(inst["phi_b"]))
 
 
@@ -42,32 +42,31 @@ class TestSinrEs:
         L, P = 3, 7.0
         D = np.zeros((3, L), complex)
         D[0, 0] = 1.0
-        h_eff = effective_channels(D, np.zeros((3, 4), complex),
+        h_eff = effective_channels(D.conj(), np.zeros((3, 4), complex),
                                    np.zeros((4, L)), np.zeros(4), np.zeros(4))
-        design = TransmitDesign.from_columns(
-            K_s=(np.sqrt(P) * np.eye(L)[:, :1]).astype(complex),
-            K_w=np.zeros((L, L), complex))
-        assert sinrs(h_eff, design, 1.0)[0, 0] == pytest.approx(P)
+        K = np.concatenate([(np.sqrt(P) * np.eye(L)[:, :1]).astype(complex),
+                            np.zeros((L, L), complex)], axis=1)
+        assert sinrs(h_eff, K, 1.0)[0, 0] == pytest.approx(P)
 
     def test_zero_beamformer_gives_zero(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng)
         inst["K_s"] = np.zeros_like(inst["K_s"])
         inst["K_w"] = np.zeros_like(inst["K_w"])
-        assert np.all(sinrs(es_channels(inst), make_design(inst), 1.0) == 0.0)
+        assert np.all(sinrs(es_channels(inst), make_K(inst), 1.0) == 0.0)
 
     def test_noise_must_be_positive(self):
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
         with pytest.raises(PhysicsError):
-            sinrs(es_channels(inst), make_design(inst), 0.0)
+            sinrs(es_channels(inst), make_K(inst), 0.0)
 
     def test_identical_channels_equal_sinr(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng)
         inst["h_be"] = inst["h_bm"][0].copy()
         inst["h_re"] = inst["h_rm"][0].copy()
-        s = sinrs(es_channels(inst), make_design(inst), 1.0)
+        s = sinrs(es_channels(inst), make_K(inst), 1.0)
         M = s.shape[1]
         assert s[M, 0] == pytest.approx(s[0, 0], rel=1e-12)
 
@@ -76,7 +75,7 @@ class TestSinrEs:
         inst = random_instance(rng, L=3, M=2)
         inst["h_be"] = np.zeros(3, complex)
         inst["h_re"] = np.zeros(6, complex)
-        assert np.all(sinrs(es_channels(inst), make_design(inst), 1.0)[2] == 0.0)
+        assert np.all(sinrs(es_channels(inst), make_K(inst), 1.0)[2] == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
@@ -86,7 +85,7 @@ class TestSinrEs:
         M = int(rng.integers(1, 4))
         inst = random_instance(rng, L=L, N=N, M=M)
         sigma2 = float(rng.uniform(0.1, 2.0))
-        s = sinrs(es_channels(inst), make_design(inst), sigma2)
+        s = sinrs(es_channels(inst), make_K(inst), sigma2)
         assert s.shape == (M + 2, M)
         for m in range(M):
             hH = naive_effective_channel(
@@ -123,12 +122,12 @@ class TestSecrecyRate:
         # row M+1, and the echo SNR is taken at the closed-form filter
         rng = np.random.default_rng(5)
         inst = random_instance(rng)
-        design = make_design(inst)
+        K = make_K(inst)
         sensing = SensingParams(tau=1.0, P=2, sigma_s2=0.5, kappa_t=1.0)
         period = (1.0, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))
-        lu, eve, st, echo = evaluate(*make_channel(inst), [period], design,
-                                     1.0, sensing)
-        r = np.log2(1 + sinrs(es_channels(inst), design, 1.0))
+        lu, eve, st, echo = evaluate(*make_channel(inst), [period], K, 1.0,
+                                     sensing)
+        r = np.log2(1 + sinrs(es_channels(inst), K, 1.0))
         M = r.shape[1]
         assert np.array_equal(lu, [r[m, m] for m in range(M)])
         assert np.array_equal(eve, r[M]) and np.array_equal(st, r[M + 1])
@@ -136,8 +135,8 @@ class TestSecrecyRate:
         assert got == pytest.approx(max(r[0, 0] - r[M, 0], 0)
                                     + max(r[0, 0] - r[M + 1, 0], 0))
         g = target_channel(inst)
-        assert echo == echo_snr_lower_bound(g, design,
-                                            optimal_filter(g, design), sensing)
+        assert echo == echo_snr_lower_bound(g, K, optimal_filter(g, K),
+                                            sensing)
 
 
 class TestEchoSnr:
@@ -145,27 +144,26 @@ class TestEchoSnr:
 
     def test_scalar_case(self):
         # L=1, M=0, everything 1 -> SNR = 1/sigma_s^2
-        design = TransmitDesign.from_columns(K_s=np.zeros((1, 0), complex),
-                                             K_w=np.ones((1, 1), complex))
+        K = np.ones((1, 1), complex)
         g = np.ones(1, complex)
-        snr = echo_snr_lower_bound(g, design, np.ones(1, complex), self.sensing)
+        snr = echo_snr_lower_bound(g, K, np.ones(1, complex), self.sensing)
         assert snr == pytest.approx(1.0 / 0.25)
 
     def test_filter_scale_invariance(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng)
-        design = make_design(inst)
+        K = make_K(inst)
         g = inst["g_bs"]
         u = rng.standard_normal(3 * 5) + 1j * rng.standard_normal(3 * 5)
-        a = echo_snr_lower_bound(g, design, u, self.sensing)
-        b = echo_snr_lower_bound(g, design, 2.0 * u, self.sensing)
+        a = echo_snr_lower_bound(g, K, u, self.sensing)
+        b = echo_snr_lower_bound(g, K, 2.0 * u, self.sensing)
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
     def test_zero_filter_rejected(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng)
         with pytest.raises(PhysicsError):
-            echo_snr_lower_bound(inst["g_bs"], make_design(inst),
+            echo_snr_lower_bound(inst["g_bs"], make_K(inst),
                                  np.zeros(15), self.sensing)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -175,14 +173,12 @@ class TestEchoSnr:
         M = int(rng.integers(0, 3))
         inst = random_instance(rng, L=L, N=4, M=max(M, 1))
         K = np.concatenate([inst["K_s"][:, :M], inst["K_w"]], axis=1)
-        design = TransmitDesign.from_columns(K_s=inst["K_s"][:, :M],
-                                             K_w=inst["K_w"])
         g = inst["g_bs"]
         u = rng.standard_normal(L * (M + L)) + 1j * rng.standard_normal(L * (M + L))
         sensing = SensingParams(tau=float(rng.uniform(0.5, 2)),
                                 P=int(rng.integers(1, 10)),
                                 sigma_s2=float(rng.uniform(0.1, 2)), kappa_t=1.0)
-        got = echo_snr_lower_bound(g, design, u, sensing)
+        got = echo_snr_lower_bound(g, K, u, sensing)
         expect = naive_echo_snr(g, K, u, sensing.P, sensing.tau, sensing.sigma_s2)
         assert got == pytest.approx(expect, abs=1e-10, rel=1e-10)
 
@@ -191,9 +187,7 @@ class TestOptimalFilter:
     sensing = SensingParams(tau=1.0, P=4, sigma_s2=0.5, kappa_t=1.0)
 
     def test_scalar_all_ones(self):
-        design = TransmitDesign.from_columns(K_s=np.zeros((1, 0), complex),
-                                             K_w=np.ones((1, 1), complex))
-        u = optimal_filter(np.ones(1, complex), design)
+        u = optimal_filter(np.ones(1, complex), np.ones((1, 1), complex))
         assert u.shape == (1,)
         assert u[0] == pytest.approx(1.0 + 0j)
 
@@ -201,14 +195,14 @@ class TestOptimalFilter:
         rng = np.random.default_rng(8)
         for _ in range(20):
             inst = random_instance(rng)
-            design = make_design(inst)
+            K = make_K(inst)
             g = target_channel(inst)
-            u_star = optimal_filter(g, design)
-            best = echo_snr_lower_bound(g, design, u_star, self.sensing)
+            u_star = optimal_filter(g, K)
+            best = echo_snr_lower_bound(g, K, u_star, self.sensing)
             for _ in range(200):
                 u = (rng.standard_normal(u_star.size)
                      + 1j * rng.standard_normal(u_star.size))
-                assert echo_snr_lower_bound(g, design, u, self.sensing) \
+                assert echo_snr_lower_bound(g, K, u, self.sensing) \
                     <= best * (1 + 1e-12)
 
     def test_matches_subspace_line_search(self):
@@ -217,17 +211,17 @@ class TestOptimalFilter:
         gold = (np.sqrt(5) - 1) / 2
         rng = np.random.default_rng(9)
         inst = random_instance(rng)
-        design = make_design(inst)
+        K = make_K(inst)
         g = target_channel(inst)
-        u_star = optimal_filter(g, design)
-        best = echo_snr_lower_bound(g, design, u_star, self.sensing)
+        u_star = optimal_filter(g, K)
+        best = echo_snr_lower_bound(g, K, u_star, self.sensing)
         for _ in range(20):
             v = (rng.standard_normal(u_star.size)
                  + 1j * rng.standard_normal(u_star.size))
 
             def snr_at(t):
                 return echo_snr_lower_bound(
-                    g, design, u_star + t * v, self.sensing)
+                    g, K, u_star + t * v, self.sensing)
 
             lo, hi = -2.0, 2.0
             for _ in range(60):
@@ -240,10 +234,8 @@ class TestOptimalFilter:
             assert snr_at((lo + hi) / 2) <= best + 1e-8 * best
 
     def test_degenerate_raises(self):
-        design = TransmitDesign.from_columns(K_s=np.zeros((2, 1), complex),
-                                             K_w=np.zeros((2, 2), complex))
         with pytest.raises(DegenerateFilterError):
-            optimal_filter(np.ones(2, complex), design)
+            optimal_filter(np.ones(2, complex), np.zeros((2, 3), complex))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_jensen_bound(self, seed):
@@ -251,12 +243,11 @@ class TestOptimalFilter:
         # closed-form lower bound
         rng = np.random.default_rng(300 + seed)
         inst = random_instance(rng, L=2, N=4, M=1)
-        design = make_design(inst)
-        K = design.K
+        K = make_K(inst)
         g = target_channel(inst)
-        u = optimal_filter(g, design)
+        u = optimal_filter(g, K)
         sensing = SensingParams(tau=1.0, P=3, sigma_s2=0.5, kappa_t=1.0)
-        lower = echo_snr_lower_bound(g, design, u, sensing)
+        lower = echo_snr_lower_bound(g, K, u, sensing)
         mc = naive_echo_snr_montecarlo(g, K, u, sensing.P, sensing.tau,
                                        sensing.sigma_s2, 1000, rng)
         assert mc >= lower - 1e-9 * lower
@@ -267,22 +258,20 @@ class TestProjectPower:
         rng = np.random.default_rng(10)
         K = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         K *= np.sqrt(0.5 / np.sum(np.abs(K) ** 2))
-        design = project_power(K, M=2, P_0=1.0)
-        assert np.array_equal(design.K, K)
+        assert np.array_equal(project_power(K, P_0=1.0), K)
 
     def test_over_budget_scaled_to_equality(self):
         rng = np.random.default_rng(11)
         K = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         K *= np.sqrt(4.0 / np.sum(np.abs(K) ** 2))  # trace = 4*P_0
-        design = project_power(K, M=2, P_0=1.0)
-        assert np.sum(np.abs(design.K) ** 2) == pytest.approx(1.0)
-        assert np.allclose(design.K, K / 2.0)
+        projected = project_power(K, P_0=1.0)
+        assert np.sum(np.abs(projected) ** 2) == pytest.approx(1.0)
+        assert np.allclose(projected, K / 2.0)
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(12)
         K = 10 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-        design = project_power(K, M=2, P_0=1.0)
-        ratio = design.K / K
+        ratio = project_power(K, P_0=1.0) / K
         assert np.allclose(ratio, ratio.flat[0])
 
     def test_never_increases_power(self):
@@ -290,8 +279,8 @@ class TestProjectPower:
         for _ in range(100):
             K = rng.uniform(0.1, 3) * (rng.standard_normal((2, 4))
                                        + 1j * rng.standard_normal((2, 4)))
-            design = project_power(K, M=2, P_0=1.0)
-            assert np.sum(np.abs(design.K) ** 2) <= 1.0 + 1e-12
+            projected = project_power(K, P_0=1.0)
+            assert np.sum(np.abs(projected) ** 2) <= 1.0 + 1e-12
 
 
 class TestReward:

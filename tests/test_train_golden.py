@@ -7,8 +7,10 @@ holds, per run and environment step, the reward, the sum secrecy rate and
 the echo SNR. Run this module directly to regenerate it (``python3
 tests/test_train_golden.py``), or with ``--check`` to compare every value
 at ``==`` (see ``goldens.py``); regenerate only for an intended change of
-behaviour, and say so where the change is recorded. Run directly, BLAS
-uses GOLDEN_BLAS_THREADS threads, the count the file was made with.
+behaviour, and say so where the change is recorded. Run directly, the
+script pins BLAS to one thread, as the test session (``conftest.py``) and
+the acceptance-cache refill (``train_cache.py``) do; the file was made on
+one thread, so the pytest run compares the same kernels' bits.
 """
 import json
 import os
@@ -18,10 +20,9 @@ from pathlib import Path
 
 # after the first update the values' last bits depend on the BLAS thread
 # count, so the script pins it before numpy is first imported
-GOLDEN_BLAS_THREADS = "2"
 if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = GOLDEN_BLAS_THREADS
+        os.environ[_var] = "1"
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
