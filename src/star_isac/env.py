@@ -2,9 +2,9 @@
 
 One episode is T quasi-static fading slots. Actions are raw vectors in
 [-1, 1]^dim; the environment decodes them into a power-feasible beam
-matrix K plus a feasible surface configuration, computes the closed-form
-receive filters, and scores the step with the constraint-aware reward.
-Receive filters are never part of the action.
+matrix K plus a feasible surface configuration, and scores the step with
+the constraint-aware reward, the echo SNR taken at the closed-form
+receive filters. Receive filters are never part of the action.
 """
 from __future__ import annotations
 

@@ -433,26 +433,26 @@ SWEEP_AXES = {
 def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     """One run_scenario per axis value; long-format sweep.csv keyed by
     the axis value. Every value is checked before any is trained, and
-    none may repeat another once cast."""
+    none may repeat another once cast; run directories and sweep.csv
+    name each value as cast (``lr_0.0001`` for ``1e-4``)."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unsupported sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name, cast = SWEEP_AXES[axis]
-    sub_cfgs, seen = [], set()
+    sub_cfgs = {}
     for value in values:
         try:
             cast_value = cast(value)
-            if cast_value in seen:
+            if cast_value in sub_cfgs:
                 raise ConfigError(f"{cast_value!r} appears twice")
-            seen.add(cast_value)
-            sub_cfgs.append(replace(cfg, **{field_name: cast_value}))
+            sub_cfgs[cast_value] = replace(cfg, **{field_name: cast_value})
         except ValueError as exc:  # ConfigError, or a failed cast
             raise ConfigError(f"sweep axis {axis} = {value!r}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = []
-    for value, sub_cfg in zip(values, sub_cfgs):
+    for value, sub_cfg in sub_cfgs.items():
         sub_dir = out / f"{axis}_{value}"
         summary = run_scenario(sub_cfg, sub_dir)
         for seed, s in summary["per_seed"].items():
@@ -467,7 +467,7 @@ def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
         w.writerow(["axis", "value", "seed", "final_return", "first_return",
                     "final_secrecy"])
         for r in results:
-            w.writerow([r["axis"], _fmt(r["value"]), r["seed"],
+            w.writerow([r["axis"], r["value"], r["seed"],
                         _fmt(r["final_return"]), _fmt(r["first_return"]),
                         _fmt(r["final_secrecy"])])
     return results

@@ -14,8 +14,15 @@ M = K.shape[1] - K.shape[0]. A surface state is a list of (weight,
 Phi_A, Phi_B) periods with length-N coefficient vectors: ES and the
 single-surface baselines have one period of weight 1, TS has two (see
 ``star_ris.ts_periods``). Rates and the echo SNR are the weighted sums
-over periods; the echo SNR of a period is ``echo_snr_lower_bound`` at
-``optimal_filter``.
+over periods. The echo SNR of a period is the Jensen bound
+(``echo_snr_lower_bound``) at the closed-form filter (``optimal_filter``),
+whose direction u = (I (x) g_s g_s^H) k has ||u||^2 = ||g_s||^2 sum_c
+|g_s^H k_c|^2 over the columns k_c of K. There the bound reduces to
+
+    P tau^2 ||u||^2 / sigma_s^2,
+
+which ``evaluate`` takes from the target's row g_s^H and one g_s^H K
+product, with no filter vector.
 
 ``evaluate`` scores a slot from its links, and ``score`` turns a slot's
 rates and echo SNR into the step's record.
@@ -161,20 +168,24 @@ def evaluate(H: np.ndarray, D_conj: np.ndarray, R_conj: np.ndarray,
     """(LU, Eve, target rates per user, echo SNR) of one slot with scaled
     links H (N x L) and conjugated D^*, R^*, receivers stacked as in
     ``effective_channels``; each the weighted sum over the (weight,
-    Phi_A, Phi_B) periods. The echo SNR of a period is taken at its
-    closed-form filter, and is 0 where the target's channel is
-    degenerate."""
+    Phi_A, Phi_B) periods. The echo SNR of a period is the bound at its
+    closed-form filter, P tau^2 ||g_s||^2 sum_c |g_s^H k_c|^2 /
+    sigma_s^2, and is 0 where ||g_s||^2 sum_c |g_s^H k_c|^2, the
+    filter's squared norm, is below the 1e-300 at which
+    ``optimal_filter`` finds no direction."""
     M = K.shape[1] - K.shape[0]
     rates = echo = 0.0
     for weight, phi_a, phi_b in periods:
         h_eff = effective_channels(D_conj, R_conj, H, phi_a, phi_b)
         rates = rates + weight * rate(sinrs(h_eff, K, sigma2))
-        g_s = h_eff[M + 1].conj()
-        try:
-            echo += weight * echo_snr_lower_bound(
-                g_s, K, optimal_filter(g_s, K), sensing)
-        except DegenerateFilterError:
-            pass
+        # the target's row is g_s^H; w2 = ||g_s||^2 sum_c |g_s^H k_c|^2
+        h = h_eff[M + 1]
+        gk = np.abs(h @ K)
+        np.square(gk, out=gk)
+        w2 = np.vdot(h, h).real * np.add.reduce(gk)
+        if w2 >= 1e-300:
+            echo += weight * float(
+                sensing.P * sensing.tau ** 2 * w2 / sensing.sigma_s2)
     return rates.diagonal().copy(), rates[M], rates[M + 1], echo
 
 

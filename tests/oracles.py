@@ -187,10 +187,12 @@ def naive_step(env, raw_action):
     its slot counter, without calling the package.
 
     This is the environment's step as first written with whole-array
-    numpy operations, kept as it was: every array goes through the same
-    floating-point operations in the same memory layouts, so a rewrite
-    of the step that claims to compute the same numbers must match it
-    bit for bit. Call it before ``env.step``, which advances the slot.
+    numpy operations, kept as it was apart from the echo SNR, which it
+    takes in closed form instead of through the filter vector: every
+    array goes through the same floating-point operations in the same
+    memory layouts, so a rewrite of the step that claims to compute the
+    same numbers must match it bit for bit. Call it before ``env.step``,
+    which advances the slot.
     """
     L, M, T, t = env.L, env.M, env.T, env.t
     sensing, sigma2 = env.sensing, env.noise_power
@@ -222,18 +224,16 @@ def naive_step(env, raw_action):
         lu = lu + weight * r.diagonal()
         eve = eve + weight * r[M]
         st = st + weight * r[M + 1]
-        # echo SNR at the closed-form filter u ~ (I (x) g g^H) k, skipped
-        # where the target's channel leaves the filter degenerate
-        g = h_eff[M + 1].conj()
-        u = np.outer(g, g.conj() @ K).reshape(-1, order="F")
-        denom = np.vdot(u, u).real
-        if denom < 1e-300:
+        # echo SNR at the closed-form filter u ~ (I (x) g g^H) k, whose
+        # Jensen bound is P tau^2 ||u||^2 / sigma_s^2 with ||u||^2 =
+        # ||g||^2 sum_c |g^H k_c|^2; skipped where the target's channel
+        # leaves the filter degenerate. The target's row is g^H.
+        gH = h_eff[M + 1]
+        w2 = np.vdot(gH, gH).real * np.sum(np.abs(gH @ K) ** 2)
+        if w2 < 1e-300:
             continue
-        u = u / denom
-        U = u.reshape(L, -1, order="F")
-        val = np.sum(U.conj().T @ g * (g.conj() @ K))
-        num = sensing.P * sensing.tau ** 2 * np.abs(val) ** 2
-        echo += weight * float(num / (sensing.sigma_s2 * np.vdot(u, u).real))
+        echo += weight * float(
+            sensing.P * sensing.tau ** 2 * w2 / sensing.sigma_s2)
 
     sec = np.maximum(lu - eve, 0.0) + np.maximum(lu - st, 0.0)
     sum_sec = float(sec.sum())

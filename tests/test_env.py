@@ -311,3 +311,74 @@ class TestStepBitExact:
         else:
             assert power < 0.5 * env.p_max
         self.assert_step_matches(env, raw)
+
+
+def filter_echo(H, D_conj, R_conj, period, K, sensing):
+    """One period's weighted echo SNR as the paper states it: the Jensen
+    bound at the closed-form receive filter, 0 where it has no
+    direction."""
+    weight, phi_a, phi_b = period
+    g = physics.effective_channels(D_conj, R_conj, H, phi_a, phi_b)[-1].conj()
+    try:
+        u = physics.optimal_filter(g, K)
+    except physics.DegenerateFilterError:
+        return 0.0
+    return weight * physics.echo_snr_lower_bound(g, K, u, sensing)
+
+
+class TestEchoAtTheFilter:
+    """The step's closed-form echo SNR is the bound at the paper's
+    filter, period by period."""
+
+    @pytest.mark.parametrize("N", (8, 12, 24))
+    @pytest.mark.parametrize("variant, mode", SURFACE_PAIRS)
+    def test_echo_is_the_bound_at_the_filter(self, variant, mode, N):
+        cfg = replace(ScenarioConfig(seeds=(0,)), N=N, baseline=variant,
+                      protocol=mode)
+        env = build_baseline(cfg, seed=N)
+        env.reset()
+        ch, rng = env.channels, np.random.default_rng(100 + N)
+        for t in range(env.T):
+            K, periods = env.decode_action(
+                rng.uniform(-1.0, 1.0, env.action_dim))
+            args = (ch.H[t], ch.D[t].conj(), ch.R[t].conj())
+            want = [filter_echo(*args, p, K, env.sensing) for p in periods]
+            # each period on its own (both TS periods), then their sum
+            for period, w in zip(periods, want):
+                assert w > 0.0
+                got = physics.evaluate(*args, [period], K, env.noise_power,
+                                       env.sensing)[3]
+                assert got == pytest.approx(w, rel=1e-12, abs=0.0)
+            got = physics.evaluate(*args, periods, K, env.noise_power,
+                                   env.sensing)[3]
+            assert got == pytest.approx(sum(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", (10.0, 0.1))
+    @pytest.mark.parametrize("variant, mode", SURFACE_PAIRS)
+    def test_degenerate_threshold(self, variant, mode, side):
+        # target row scaled so that the filter's ||u||^2 = ||g||^2
+        # sum_c |g^H k_c|^2 lands at side * 1e-300: above the threshold
+        # both forms agree, below it both give 0
+        env = make_env(baseline=variant, protocol=mode, seed=3)
+        env.reset()
+        K, periods = env.decode_action(
+            np.random.default_rng(4).uniform(-1.0, 1.0, env.action_dim))
+        H, D_conj, R_conj = (env.channels.H[0], env.channels.D[0].conj(),
+                             env.channels.R[0].conj())
+        for period in periods:
+            _, phi_a, phi_b = period
+            gH = physics.effective_channels(D_conj, R_conj, H, phi_a,
+                                            phi_b)[-1]
+            w2 = np.vdot(gH, gH).real * np.sum(np.abs(gH @ K) ** 2)
+            scale = (side * 1e-300 / w2) ** 0.25
+            D_s, R_s = D_conj.copy(), R_conj.copy()
+            D_s[-1] *= scale
+            R_s[-1] *= scale
+            want = filter_echo(H, D_s, R_s, period, K, env.sensing)
+            got = physics.evaluate(H, D_s, R_s, [period], K, env.noise_power,
+                                   env.sensing)[3]
+            if side > 1.0:
+                assert want > 0.0
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            else:
+                assert got == want == 0.0

@@ -84,11 +84,15 @@ def test_episode_matches_golden(golden, name):
 def test_check_names_the_first_differing_step():
     name = config_names()[0]
     want = {name: episode(name)}
-    assert goldens.first_difference(want, episode) is None
+    total = sum(np.size(v) for v in want[name].values())
+    assert goldens.compare(want, episode) == (None, 0, total, 0.0)
     rates = want[name]["lu_rates"][7]
     rates[1] = math.nextafter(rates[1], 0.0)
-    assert goldens.first_difference(want, episode).startswith(
-        f"{name}: lu_rates, step 7: ")
+    want[name]["lu_rates"][9][0] *= 1.0 + 1e-6
+    first, differ, compared, largest = goldens.compare(want, episode)
+    assert first.startswith(f"{name}: lu_rates, step 7: ")
+    assert (differ, compared) == (2, total)
+    assert largest == pytest.approx(1e-6, rel=1e-3)
 
 
 if __name__ == "__main__":

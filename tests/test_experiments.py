@@ -296,11 +296,20 @@ class TestSweep:
         cfg = tiny_cfg()
         results = sweep(cfg, "lr", ["1e-4", "1e-3"], tmp_path)
         assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "lr_1e-4" / "episodes.csv").exists()
+        assert (tmp_path / "lr_0.0001" / "episodes.csv").exists()
         values = {r["value"] for r in results}
-        assert values == {"1e-4", "1e-3"}
+        assert values == {1e-4, 1e-3}
         means = [r for r in results if r["seed"] == "mean"]
         assert len(means) == 2
+
+    def test_names_come_from_the_cast_value(self, tmp_path):
+        # as `--values "1e-4, 2e-4"` splits: the second value has a space
+        sweep(tiny_cfg(), "lr", ["1e-4", " 2e-4"], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) \
+            == ["lr_0.0001", "lr_0.0002"]
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {r["value"] for r in rows} == {"0.0001", "0.0002"}
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

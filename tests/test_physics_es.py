@@ -134,9 +134,15 @@ class TestSecrecyRate:
         got = secrecy_rate(lu[0], eve[0], st[0])
         assert got == pytest.approx(max(r[0, 0] - r[M, 0], 0)
                                     + max(r[0, 0] - r[M + 1, 0], 0))
+        # the bound at the filter in closed form, P tau^2 ||g||^2
+        # sum_c |g^H k_c|^2 / sigma_s^2, in the kernel's operation order
+        gH = es_channels(inst)[-1]
+        w2 = np.vdot(gH, gH).real * np.sum(np.abs(gH @ K) ** 2)
+        assert echo == sensing.P * sensing.tau ** 2 * w2 / sensing.sigma_s2
         g = target_channel(inst)
-        assert echo == echo_snr_lower_bound(g, K, optimal_filter(g, K),
-                                            sensing)
+        assert echo == pytest.approx(
+            echo_snr_lower_bound(g, K, optimal_filter(g, K), sensing),
+            rel=1e-12)
 
 
 class TestEchoSnr:
