@@ -7,16 +7,23 @@ whole-surface modes and trades time fractions.
 """
 import numpy as np
 
-from star_isac.star_ris import (es_coefficients, es_power_split, ts_periods,
-                                wrap_pi)
+from star_isac.star_ris import es_coefficients, es_power_split, ts_periods
 
 print("ES protocol: amplitude split along theta (one element)")
-print(f"{'theta':>8} {'|A|^2':>8} {'|B|^2':>8} {'sum':>6} {'cos(dphi)':>10}")
+print(f"{'theta':>8} {'|A|^2':>8} {'|B|^2':>8} {'sum':>6}")
 for theta in np.linspace(0, np.pi / 2, 7):
     a2, b2 = es_power_split(theta)
-    # the quarter-turn coupling es_coefficients applies, phi_b = 0.8
-    coupling = np.cos(wrap_pi(wrap_pi(0.8) + np.pi / 2.0) - wrap_pi(0.8))
-    print(f"{theta:8.3f} {a2:8.4f} {b2:8.4f} {a2 + b2:6.3f} {coupling:10.1e}")
+    print(f"{theta:8.3f} {a2:8.4f} {b2:8.4f} {a2 + b2:6.3f}")
+
+# the phase coupling does not depend on theta: read it once where both
+# faces are lit (theta = pi/4), for phi_b = 0.8 and either sign
+print("\nES quarter-turn coupling, theta = pi/4, phi_b = 0.8")
+for sign in (1.0, -1.0):
+    phi_a, phi_b = es_coefficients(np.array([np.pi / 4]), np.array([0.8]),
+                                   np.array([sign]))
+    dphi = np.angle(phi_a[0]) - np.angle(phi_b[0])
+    print(f"  sign {sign:+.0f}: phi_A - phi_B = {dphi / (np.pi / 2):+.6f} "
+          f"x pi/2, cos = {np.cos(dphi):.1e}")
 
 print("\nTS protocol: unit-modulus faces, time split pi_1 / pi_2")
 for pi_1 in (0.0, 0.25, 0.5, 1.0):

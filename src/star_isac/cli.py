@@ -84,7 +84,7 @@ def main(argv=None) -> int:
                   f"± {summary['final_return_std']:.4g}, "
                   f"secrecy {summary['final_secrecy_mean']:.4g} bps/Hz")
         else:  # sweep
-            values = args.values.split(",")
+            values = [value.strip() for value in args.values.split(",")]
             results = sweep(cfg, args.axis, values, args.out)
             for r in results:
                 if r["seed"] == "mean":

@@ -187,15 +187,6 @@ class Mlp:
             delta = delta @ self.weights[i].T
         return None, delta
 
-    # flat copies, used by gradient oracles and the cache key
-    def get_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if flat.size != self.flat.size:
-            raise RlError("flat vector size mismatch")
-        self.flat[...] = flat
-
 
 class Adam:
     """Bias-corrected first/second-moment updater over a list of
@@ -319,11 +310,8 @@ class ReplayBuffer:
         self.cursor = (i + 1) % self.capacity
         self.count = min(self.count + 1, self.capacity)
 
-    def ready(self, batch_size: int) -> bool:
-        return self.count >= batch_size
-
     def sample(self, batch_size: int, rng: np.random.Generator):
-        if not self.ready(batch_size):
+        if self.count < batch_size:
             raise RlError("not enough transitions to sample")
         idx = rng.choice(self.count, size=batch_size, replace=False)
         return {

@@ -26,13 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def wrap_pi(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi]."""
-    return _wrap_pi_inplace(np.array(phi, dtype=float))
-
-
 def _wrap_pi_inplace(phi: np.ndarray) -> np.ndarray:
-    """``wrap_pi`` written into its own (float) argument."""
+    """Wrap the angles of a float array to (-pi, pi], in place."""
     phi += np.pi
     np.mod(phi, 2.0 * np.pi, out=phi)
     phi -= np.pi

@@ -142,6 +142,23 @@ def naive_episode_fading(geometry, params, L, N, T, seed):
     return slots
 
 
+def central_differences(net, loss, coords, h):
+    """Central differences of loss() in each coordinate i of ``net.flat``
+    in coords, in order: flat[i] is set to x + h, then lowered by 2h, and
+    put back to x before the next coordinate."""
+    flat = net.flat
+    numeric = np.empty(len(coords))
+    for k, i in enumerate(coords):
+        x = flat[i]
+        flat[i] = x + h
+        up = loss()
+        flat[i] -= 2 * h
+        dn = loss()
+        flat[i] = x
+        numeric[k] = (up - dn) / (2 * h)
+    return numeric
+
+
 # ---------------------------------------------------------------------------
 # the environment step, frozen
 

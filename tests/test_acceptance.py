@@ -22,8 +22,9 @@ from star_isac.sac import SacAgent
 from star_isac.star_ris import decode, es_power_split, ts_periods
 
 import train_cache
-from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
-                     naive_effective_channel, naive_sinr, random_instance)
+from oracles import (central_differences, naive_echo_snr,
+                     naive_echo_snr_montecarlo, naive_effective_channel,
+                     naive_sinr, random_instance)
 
 
 def _report(num, name, ok, detail):
@@ -195,22 +196,12 @@ def test_criterion_04_jensen_bound():
             f"{min_margin:.3f} (10^3 draws each)")
 
 
-def _fd_check(get_loss, flat_get, flat_set, analytic, rng, n_coords=30,
-              h=1e-5):
-    base = flat_get()
+def _fd_check(net, get_loss, analytic, rng, n_coords=30, h=1e-5):
+    size = net.flat.size
+    idx = rng.choice(size, min(n_coords, size), replace=False)
     worst = 0.0
-    idx = rng.choice(base.size, min(n_coords, base.size), replace=False)
-    for i in idx:
-        p = base.copy()
-        p[i] += h
-        flat_set(p)
-        up = get_loss()
-        p[i] -= 2 * h
-        flat_set(p)
-        dn = get_loss()
-        num = (up - dn) / (2 * h)
+    for i, num in zip(idx, central_differences(net, get_loss, idx, h)):
         worst = max(worst, abs(analytic[i] - num) / max(abs(num), 1e-6))
-    flat_set(base)
     return worst
 
 
@@ -231,13 +222,11 @@ def test_criterion_05_gradient_correctness():
     targets = dagent.target_value(batch)
     _, cgrads = critic_mse(dagent.critic, batch, targets)
     worst = max(worst, _fd_check(
-        lambda: critic_mse(dagent.critic, batch, targets)[0],
-        dagent.critic.get_flat, dagent.critic.set_flat,
+        dagent.critic, lambda: critic_mse(dagent.critic, batch, targets)[0],
         np.concatenate([g.ravel() for g in cgrads]), rng))
     _, agrads = dagent.actor_objective_and_grads(batch)
     worst = max(worst, _fd_check(
-        lambda: dagent.actor_objective_and_grads(batch)[0],
-        dagent.actor.get_flat, dagent.actor.set_flat,
+        dagent.actor, lambda: dagent.actor_objective_and_grads(batch)[0],
         np.concatenate([g.ravel() for g in agrads]), rng))
 
     sagent = SacAgent(4, 3, hidden=(10, 10), buffer_capacity=8,
@@ -245,14 +234,12 @@ def test_criterion_05_gradient_correctness():
     eps = rng.standard_normal((6, 3))
     _, pgrads, _ = sagent.policy_loss_and_grads(batch, eps=eps)
     worst = max(worst, _fd_check(
-        lambda: sagent.policy_loss_and_grads(batch, eps=eps)[0],
-        sagent.policy.get_flat, sagent.policy.set_flat,
+        sagent.policy, lambda: sagent.policy_loss_and_grads(batch, eps=eps)[0],
         np.concatenate([g.ravel() for g in pgrads]), rng))
     y = sagent.soft_q_target(batch, eps=eps)
     _, c1grads = critic_mse(sagent.critic1, batch, y)
     worst = max(worst, _fd_check(
-        lambda: critic_mse(sagent.critic1, batch, y)[0],
-        sagent.critic1.get_flat, sagent.critic1.set_flat,
+        sagent.critic1, lambda: critic_mse(sagent.critic1, batch, y)[0],
         np.concatenate([g.ravel() for g in c1grads]), rng))
 
     lp = rng.standard_normal(6)

@@ -4,6 +4,8 @@ import pytest
 from star_isac.ddpg import NOISE_STD, DdpgAgent
 from star_isac.rl_core import critic_mse
 
+from oracles import central_differences
+
 
 def tiny_agent(seed=0, **kw):
     kw.setdefault("hidden", (8, 8))
@@ -82,40 +84,25 @@ class TestGradients:
         batch = random_batch(np.random.default_rng(4))
         loss, grads = critic_loss(agent, batch)
         analytic = np.concatenate([g.ravel() for g in grads])
-        base = agent.critic.get_flat()
-        h = 1e-5
-        idx = np.random.default_rng(5).choice(base.size, 40, replace=False)
-        for i in idx:
-            p = base.copy()
-            p[i] += h
-            agent.critic.set_flat(p)
-            lp, _ = critic_loss(agent, batch)
-            p[i] -= 2 * h
-            agent.critic.set_flat(p)
-            lm, _ = critic_loss(agent, batch)
-            num = (lp - lm) / (2 * h)
+        idx = np.random.default_rng(5).choice(agent.critic.flat.size, 40,
+                                              replace=False)
+        numeric = central_differences(
+            agent.critic, lambda: critic_loss(agent, batch)[0], idx, 1e-5)
+        for i, num in zip(idx, numeric):
             assert analytic[i] == pytest.approx(num, abs=1e-7, rel=1e-4)
-        agent.critic.set_flat(base)
 
     def test_actor_gradients_match_finite_differences(self):
         agent = tiny_agent(seed=6)
         batch = random_batch(np.random.default_rng(6))
         obj, grads = agent.actor_objective_and_grads(batch)
         analytic = np.concatenate([g.ravel() for g in grads])
-        base = agent.actor.get_flat()
-        h = 1e-5
-        idx = np.random.default_rng(7).choice(base.size, 40, replace=False)
-        for i in idx:
-            p = base.copy()
-            p[i] += h
-            agent.actor.set_flat(p)
-            op, _ = agent.actor_objective_and_grads(batch)
-            p[i] -= 2 * h
-            agent.actor.set_flat(p)
-            om, _ = agent.actor_objective_and_grads(batch)
-            num = (op - om) / (2 * h)
+        idx = np.random.default_rng(7).choice(agent.actor.flat.size, 40,
+                                              replace=False)
+        numeric = central_differences(
+            agent.actor, lambda: agent.actor_objective_and_grads(batch)[0],
+            idx, 1e-5)
+        for i, num in zip(idx, numeric):
             assert analytic[i] == pytest.approx(num, abs=1e-7, rel=1e-4)
-        agent.actor.set_flat(base)
 
     def test_actor_update_ascends_objective(self):
         agent = tiny_agent(seed=8, lr=1e-6)
@@ -137,27 +124,26 @@ class TestGradients:
 class TestUpdateMachinery:
     def test_targets_start_equal_and_track_slowly(self):
         agent = tiny_agent(seed=10, soft_rate=0.1)
-        assert np.array_equal(agent.actor.get_flat(),
-                              agent.target_actor.get_flat())
-        t0 = agent.target_critic.get_flat().copy()
-        agent.critic.set_flat(agent.critic.get_flat() + 1.0)
+        assert np.array_equal(agent.actor.flat, agent.target_actor.flat)
+        t0 = agent.target_critic.flat.copy()
+        agent.critic.flat += 1.0
         agent.update_targets()
-        expect = 0.9 * t0 + 0.1 * agent.critic.get_flat()
-        assert np.allclose(agent.target_critic.get_flat(), expect, atol=1e-14)
+        expect = 0.9 * t0 + 0.1 * agent.critic.flat
+        assert np.allclose(agent.target_critic.flat, expect, atol=1e-14)
 
     def test_warmup_blocks_updates(self):
         agent = tiny_agent(seed=11, batch_size=4)
         rng = np.random.default_rng(11)
-        flat0 = agent.critic.get_flat().copy()
+        flat0 = agent.critic.flat.copy()
         for _ in range(10 * 4 - 1):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           0.0, rng.standard_normal(3), False)
             agent.maybe_update()
-        assert np.array_equal(agent.critic.get_flat(), flat0)
+        assert np.array_equal(agent.critic.flat, flat0)
         agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                       0.0, rng.standard_normal(3), False)
         agent.maybe_update()
-        assert not np.array_equal(agent.critic.get_flat(), flat0)
+        assert not np.array_equal(agent.critic.flat, flat0)
 
     def test_same_seed_reproduces(self):
         rng_s = np.random.default_rng(12)
@@ -169,7 +155,7 @@ class TestUpdateMachinery:
                 a = agent.select_action(s)
                 agent.observe(s, a, float(s.sum()), s, False)
                 agent.maybe_update()
-            return agent.actor.get_flat()
+            return agent.actor.flat
 
         assert np.array_equal(run(), run())
 

@@ -167,6 +167,18 @@ class TestRunSeed:
         assert s["final_return"] == pytest.approx(np.mean(ret[-w:]), rel=1e-12)
         assert s["first_return"] == pytest.approx(np.mean(ret[:w]), rel=1e-12)
 
+    @pytest.mark.parametrize("algorithm", list(AGENTS))
+    @pytest.mark.parametrize("wider", ["state", "action"])
+    def test_train_rejects_agent_of_other_dimensions(self, algorithm, wider):
+        env = build_baseline(tiny_cfg(), seed=0)
+        module, agent_cls = AGENTS[algorithm]
+        dims = {"state": env.state_dim, "action": env.action_dim}
+        dims[wider] += 1
+        agent = agent_cls(dims["state"], dims["action"], hidden=(8,),
+                          buffer_capacity=8, seed=0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            next(module.train(env, agent, 1))
+
 
 class TestRunScenario:
     def test_output_files_and_shapes(self, tmp_path):
@@ -350,6 +362,14 @@ class TestCli:
                        "--out", str(tmp_path / "sw")])
         assert rc == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+    def test_sweep_strips_each_value(self, tmp_path, capsys):
+        rc = cli_main(["sweep", "--config", self.write_cfg(tmp_path),
+                       "--axis", "algorithm", "--values", "ddpg, sac",
+                       "--out", str(tmp_path / "sw")])
+        assert rc == 0, capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "sw").iterdir()
+                      if p.is_dir()) == ["algorithm_ddpg", "algorithm_sac"]
 
     @pytest.mark.parametrize("values, why", [
         ("abc", "invalid literal"), ("4,5", "n_x must divide N"),

@@ -8,23 +8,7 @@ from scipy import stats
 from star_isac.rl_core import (CHUNK, Adam, Mlp, ReplayBuffer, RewardScale,
                                RlError, soft_update)
 
-
-def flat_numeric_grad(net, x, loss_fn, h=1e-5):
-    """Central finite differences of loss_fn(net(x)) w.r.t. flat params."""
-    base = net.get_flat()
-    grad = np.zeros_like(base)
-    for i in range(base.size):
-        plus = base.copy()
-        plus[i] += h
-        net.set_flat(plus)
-        lp = loss_fn(net(x))
-        minus = base.copy()
-        minus[i] -= h
-        net.set_flat(minus)
-        lm = loss_fn(net(x))
-        grad[i] = (lp - lm) / (2 * h)
-    net.set_flat(base)
-    return grad
+from oracles import central_differences
 
 
 class TestMlp:
@@ -63,7 +47,8 @@ class TestMlp:
         grads, dx = net.backward(cache, w)
         assert dx is None
         analytic = np.concatenate([g.ravel() for g in grads])
-        numeric = flat_numeric_grad(net, x, loss)
+        numeric = central_differences(net, lambda: loss(net(x)),
+                                      range(net.flat.size), 1e-5)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
@@ -82,15 +67,6 @@ class TestMlp:
             num = (net(xp)[0, 0] - net(xm)[0, 0]) / (2 * h)
             assert dx[0, j] == pytest.approx(num, abs=1e-6, rel=1e-5)
 
-    def test_flat_roundtrip(self):
-        net = Mlp([2, 4, 1], rng=np.random.default_rng(5))
-        flat = net.get_flat()
-        other = Mlp([2, 4, 1], rng=np.random.default_rng(6))
-        other.set_flat(flat)
-        assert np.array_equal(other.get_flat(), flat)
-        with pytest.raises(RlError):
-            other.set_flat(flat[:-1])
-
     def test_copy_is_independent(self):
         net = Mlp([2, 3, 1], rng=np.random.default_rng(7))
         dup = net.copy()
@@ -104,12 +80,11 @@ class TestMlp:
                                  for p in wb])
         assert np.array_equal(layout, net.flat)
         new = np.arange(net.flat.size, dtype=float)
-        net.set_flat(new)
+        net.flat[...] = new
         assert np.array_equal(net.weights[0], new[:12].reshape(3, 4))
         assert np.array_equal(net.biases[1], new[-2:])
-        flat = net.get_flat()
-        flat[0] = -1.0
-        assert net.weights[0][0, 0] == 0.0
+        net.flat[0] = -1.0
+        assert net.weights[0][0, 0] == -1.0
 
     def test_copy_shares_no_memory(self):
         rng = np.random.default_rng(14)
@@ -234,17 +209,17 @@ class TestSoftUpdate:
         rng = np.random.default_rng(10)
         online = Mlp([2, 3, 1], rng=rng)
         target = Mlp([2, 3, 1], rng=rng)
-        t0 = target.get_flat().copy()
+        t0 = target.flat.copy()
         soft_update(target, online, 0.25)
-        expect = 0.75 * t0 + 0.25 * online.get_flat()
-        assert np.allclose(target.get_flat(), expect, atol=1e-15)
+        expect = 0.75 * t0 + 0.25 * online.flat
+        assert np.allclose(target.flat, expect, atol=1e-15)
 
     def test_eps_one_copies(self):
         rng = np.random.default_rng(11)
         online = Mlp([2, 3, 1], rng=rng)
         target = Mlp([2, 3, 1], rng=rng)
         soft_update(target, online, 1.0)
-        assert np.array_equal(target.get_flat(), online.get_flat())
+        assert np.array_equal(target.flat, online.flat)
 
     def test_chunked_blend_matches_per_array_formula_bitwise(self):
         rng = np.random.default_rng(18)
@@ -253,7 +228,7 @@ class TestSoftUpdate:
         target = Mlp(sizes, rng=rng)
         ref = [p.copy() for p in target.weights + target.biases]
         for _ in range(3):
-            online.set_flat(rng.standard_normal(online.flat.size))
+            online.flat[...] = rng.standard_normal(online.flat.size)
             soft_update(target, online, 0.3)
             for tp, op in zip(ref, online.weights + online.biases):
                 tp *= 1.0 - 0.3
@@ -287,7 +262,6 @@ class TestReplayBuffer:
     def test_not_ready_raises(self):
         buf = ReplayBuffer(capacity=5, state_dim=1, action_dim=1)
         buf.add([0], [0], 0, [0], False)
-        assert not buf.ready(2)
         with pytest.raises(RlError):
             buf.sample(2, np.random.default_rng(0))
 

@@ -4,6 +4,8 @@ import pytest
 from star_isac.rl_core import critic_mse
 from star_isac.sac import LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, SacAgent
 
+from oracles import central_differences
+
 
 def tiny_agent(seed=0, **kw):
     kw.setdefault("hidden", (8, 8))
@@ -99,20 +101,13 @@ class TestGradients:
         eps = rng.standard_normal((4, 2))
         loss, grads, _ = agent.policy_loss_and_grads(batch, eps=eps)
         analytic = np.concatenate([g.ravel() for g in grads])
-        base = agent.policy.get_flat()
-        h = 1e-5
-        idx = np.random.default_rng(8).choice(base.size, 50, replace=False)
-        for i in idx:
-            p = base.copy()
-            p[i] += h
-            agent.policy.set_flat(p)
-            lp_, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
-            p[i] -= 2 * h
-            agent.policy.set_flat(p)
-            lm_, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
-            num = (lp_ - lm_) / (2 * h)
+        idx = np.random.default_rng(8).choice(agent.policy.flat.size, 50,
+                                              replace=False)
+        numeric = central_differences(
+            agent.policy,
+            lambda: agent.policy_loss_and_grads(batch, eps=eps)[0], idx, 1e-5)
+        for i, num in zip(idx, numeric):
             assert analytic[i] == pytest.approx(num, abs=1e-7, rel=1e-4)
-        agent.policy.set_flat(base)
 
     def test_policy_update_descends_loss(self):
         agent = tiny_agent(seed=9, lr=1e-6)
@@ -236,16 +231,16 @@ class TestMachinery:
     def test_warmup_blocks_updates(self):
         agent = tiny_agent(seed=16, batch_size=4)
         rng = np.random.default_rng(16)
-        flat0 = agent.policy.get_flat().copy()
+        flat0 = agent.policy.flat.copy()
         for _ in range(10 * 4 - 1):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           0.0, rng.standard_normal(3), False)
             agent.maybe_update()
-        assert np.array_equal(agent.policy.get_flat(), flat0)
+        assert np.array_equal(agent.policy.flat, flat0)
         agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                       0.0, rng.standard_normal(3), False)
         agent.maybe_update()
-        assert not np.array_equal(agent.policy.get_flat(), flat0)
+        assert not np.array_equal(agent.policy.flat, flat0)
 
     def test_same_seed_reproduces(self):
         states = np.random.default_rng(17).standard_normal((50, 3))
@@ -256,7 +251,7 @@ class TestMachinery:
                 a, _ = agent.sample_action(s)
                 agent.observe(s, a, float(s.sum()), s, False)
                 agent.maybe_update()
-            return agent.policy.get_flat()
+            return agent.policy.flat
 
         assert np.array_equal(run(), run())
 

@@ -74,7 +74,7 @@ def _state_values(agent) -> list:
     for name in sorted(vars(agent)):
         obj = getattr(agent, name)
         if isinstance(obj, Mlp):
-            arrays = [obj.get_flat()]
+            arrays = [obj.flat]
         elif isinstance(obj, Adam):
             arrays = [np.concatenate([m.ravel() for m in obj.m]),
                       np.concatenate([v.ravel() for v in obj.v])]
