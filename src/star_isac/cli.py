@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_seeds(text: str) -> tuple:
-    seeds = []
-    for place, entry in enumerate(text.split(","), 1):
+    seeds = []  # none for "", which the config rejects
+    for place, entry in enumerate(text.split(",") if text else (), 1):
         try:
             seeds.append(int(entry))
         except ValueError:
@@ -62,7 +62,7 @@ def resolve_config(args) -> ScenarioConfig:
         updates["protocol"] = args.protocol
     if args.baseline:
         updates["baseline"] = args.baseline
-    if args.seeds:
+    if args.seeds is not None:
         updates["seeds"] = _parse_seeds(args.seeds)
     if args.episodes is not None:
         updates["episodes"] = args.episodes

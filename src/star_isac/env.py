@@ -4,18 +4,24 @@ One episode is T quasi-static fading slots. Actions are raw vectors in
 [-1, 1]^dim; the environment decodes them into a power-feasible beam
 matrix K plus a feasible surface configuration, and scores the step with
 the constraint-aware reward, the echo SNR taken at the closed-form
-receive filters. Receive filters are never part of the action.
+receive filters. Receive filters are never part of the action. The env
+trusts its ``ScenarioConfig``, checked at load, and checks only what a
+run can get wrong: step order, action shape and finiteness.
 """
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import physics, star_ris
-from .channel import (EpisodeChannels, FadingParams, SystemGeometry,
-                      generate_episode_channels, link_constants)
+from .channel import (EpisodeChannels, generate_episode_channels,
+                      link_constants)
 from .physics import SensingParams, StepOutcome
+
+if TYPE_CHECKING:
+    from .experiments import ScenarioConfig
 
 
 class EnvError(RuntimeError):
@@ -35,40 +41,32 @@ def state_features(ch: EpisodeChannels) -> np.ndarray:
 
 
 class SecureIsacEnv:
-    """STAR-RIS aided ISAC secure-communication environment.
+    """STAR-RIS aided ISAC secure-communication environment of one
+    scenario, its episodes' channels drawn from ``seed``.
 
-    variant selects the surface architecture ("star", "spliced" or
-    "conventional") and mode its protocol ("es" or "ts"); the supported
-    pairs are the keys of ``star_ris.SURFACES``, which documents them.
+    ``variant`` is the config's baseline ("star", "spliced" or
+    "conventional") and ``mode`` its protocol ("es" or "ts"); the
+    supported pairs are the keys of ``star_ris.SURFACES``.
     """
 
-    def __init__(self, geometry: SystemGeometry, fading: FadingParams,
-                 sensing: SensingParams, L: int, N: int,
-                 noise_power: float, p_max: float, r_min: float,
-                 T: int, mode: str = "es", variant: str = "star",
-                 seed: int = 0):
-        if (variant, mode) not in star_ris.SURFACES:
-            raise EnvError(f"unsupported surface: variant {variant!r} "
-                           f"with mode {mode!r}")
-        if variant == "spliced" and N % 2 != 0:
-            raise EnvError("spliced baseline needs an even element count")
-        self.geometry = geometry
-        self.fading = fading
-        self.sensing = sensing
-        self.L = L
-        self.N = N
-        self.M = geometry.num_users
-        self.noise_power = noise_power
-        self.p_max = p_max
-        self.r_min = r_min
-        self.T = T
-        self.mode = mode
-        self.variant = variant
-        _, per_element, extra = star_ris.SURFACES[variant, mode]
-        self.ris_action_dim = per_element * N + extra
+    def __init__(self, cfg: ScenarioConfig, seed: int):
+        self.L = L = cfg.L
+        self.N = cfg.N
+        self.M = M = cfg.M
+        self.T = cfg.T
+        self.mode = cfg.protocol
+        self.variant = cfg.baseline
+        self.noise_power = cfg.noise_watt
+        self.p_max = p_max = cfg.p0_watt
+        self.r_min = cfg.r0
+        self.sensing = SensingParams(
+            tau=cfg.sensing_tau, P=cfg.sensing_slots,
+            sigma_s2=cfg.noise_watt, kappa_t=cfg.kappa_linear)
+        _, per_element, extra = star_ris.SURFACES[self.variant, self.mode]
+        self.ris_action_dim = per_element * cfg.N + extra
         self._seed_seq = np.random.SeedSequence(seed)
-        self._links = link_constants(geometry, fading, L, N)
-        self._beam_len = 2 * L * (L + self.M)
+        self._links = link_constants(cfg)
+        self._beam_len = 2 * L * (L + M)
         # per-entry magnitude caps for the beam coordinates, one per
         # column: most of the budget goes to the M communication columns,
         # a smaller share to the L radar/artificial-noise columns. With
@@ -76,8 +74,8 @@ class SecureIsacEnv:
         # with self-made interference for almost every action, leaving
         # the per-user rate floor unreachable in practice.
         self._beam_scale = np.repeat(
-            [np.sqrt(0.8 * p_max / (L * self.M)),
-             np.sqrt(0.2 * p_max / (L * L))], [self.M, L])
+            [np.sqrt(0.8 * p_max / (L * M)),
+             np.sqrt(0.2 * p_max / (L * L))], [M, L])
         self.channels = None
         self._features = None
         self._D_conj = self._R_conj = None

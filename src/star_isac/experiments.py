@@ -3,8 +3,10 @@ sweeps, and CSV emission.
 
 Config files are flat dotted-key text (``section.key = value``); unknown
 keys are errors. dBm/dB inputs are converted to linear exactly once, at
-load. All CSV floats are serialized with 17 significant digits so
-summaries are recomputable bit-for-bit from the raw rows.
+load. A ``ScenarioConfig`` checks every value and linear view when it is
+made, naming the key it rejects; the layers beneath trust it. All CSV
+floats are serialized with 17 significant digits so summaries are
+recomputable bit-for-bit from the raw rows.
 """
 from __future__ import annotations
 
@@ -20,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ddpg, sac, star_ris
-from .channel import FadingParams, SystemGeometry, db_to_linear, dbm_to_watt
 from .env import SecureIsacEnv
-from .physics import SensingParams
 from .rl_core import NonFiniteLoss
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
@@ -91,6 +91,14 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not ok(value):
                 raise ConfigError(f"{key} = {value!r}: {need}")
+        for key, view, ok, need in _LINEAR_CHECKS:
+            try:
+                value = getattr(self, view)
+            except OverflowError:
+                value = math.inf
+            if not ok(value):
+                raise ConfigError(f"{key} = {getattr(self, key)!r}: {view} "
+                                  f"is {value!r}; {need}")
         if self.buffer_capacity < 10 * self.batch_size:
             raise ConfigError("buffer_capacity must hold the 10 batches "
                               "that updates wait for (10 * batch_size)")
@@ -104,13 +112,18 @@ class ScenarioConfig:
         if self.baseline == "spliced" and self.N % 2:
             raise ConfigError("baseline 'spliced' needs an even N")
         if not self.seeds:
-            raise ConfigError("at least one seed required")
+            raise ConfigError(f"seeds = {self.seeds!r}: at least one seed "
+                              "required")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds = {self.seeds!r}: need integers >= 0")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds = {self.seeds!r}: a seed repeats")
         if self.N % self.n_x != 0:
             raise ConfigError("n_x must divide N")
         if len(self.geometry["lus"]) != self.M:
-            raise ConfigError("geometry must list M user positions")
+            lus = ";".join(_fmt_point(q) for q in self.geometry["lus"])
+            raise ConfigError(f"geometry.lus = {lus}: need M = {self.M} "
+                              "user positions")
         g = self.geometry
         points = {"geometry.bs": g["bs"], "geometry.ris": g["ris"],
                   **{f"geometry.lus[{m}]": p for m, p in enumerate(g["lus"])},
@@ -128,19 +141,19 @@ class ScenarioConfig:
     # linear-unit views
     @property
     def p0_watt(self) -> float:
-        return dbm_to_watt(self.p0_dbm)
+        return 10.0 ** ((self.p0_dbm - 30.0) / 10.0)
 
     @property
     def noise_watt(self) -> float:
-        return dbm_to_watt(self.noise_dbm)
+        return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
 
     @property
     def kappa_linear(self) -> float:
-        return db_to_linear(self.kappa_db)
+        return 10.0 ** (self.kappa_db / 10.0)
 
     @property
     def rician_linear(self) -> float:
-        return db_to_linear(self.rician_db)
+        return 10.0 ** (self.rician_db / 10.0)
 
     def scenario_id(self) -> str:
         text = repr(sorted(self.as_flat_dict().items()))
@@ -182,11 +195,27 @@ _NUMERIC_CHECKS = (
     *((k, _is_real, "need a finite number")
       for k in ("p0_dbm", "noise_dbm", "kappa_db", "rician_db")),
     *((k, lambda v: _is_real(v) and v > 0, "need a finite number > 0")
-      for k in ("lr", "freq_ghz", "sensing_tau")),
+      for k in ("lr", "freq_ghz")),
+    # the echo SNR scales with tau^2
+    ("sensing_tau", lambda v: _is_real(v) and v > 0 and math.isfinite(v * v),
+     "need a number > 0 whose square is finite"),
     ("r0", lambda v: _is_real(v) and v >= 0, "need a finite number >= 0"),
     ("gamma", lambda v: _is_real(v) and 0 <= v <= 1, "need 0 <= gamma <= 1"),
     ("soft_rate", lambda v: _is_real(v) and 0 < v <= 1,
      "need 0 < soft_rate <= 1"),
+)
+
+
+# (dB key, its linear view, test, requirement) for every dB field: the
+# layers below read only the view. A power of 0 W is no budget and a noise
+# variance of 0 divides the SINRs by zero; kappa = 0 and a Rician factor
+# of 0 (Rayleigh fading) are valid.
+_LINEAR_CHECKS = (
+    *((k, view, lambda v: 0 < v < math.inf, "need a power > 0 W and finite")
+      for k, view in (("p0_dbm", "p0_watt"), ("noise_dbm", "noise_watt"))),
+    *((k, view, math.isfinite, "need a finite linear value")
+      for k, view in (("kappa_db", "kappa_linear"),
+                      ("rician_db", "rician_linear"))),
 )
 
 
@@ -244,28 +273,11 @@ def load_config(path, **overrides) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # environment / agent construction
 
-def build_geometry(cfg: ScenarioConfig) -> SystemGeometry:
-    g = cfg.geometry
-    return SystemGeometry(
-        bs_position=g["bs"], ris_position=g["ris"], lu_positions=g["lus"],
-        eve_position=g["eve"], st_position=g["st"])
-
-
 def build_baseline(cfg: ScenarioConfig, seed: int) -> SecureIsacEnv:
     """Environment for the configured surface variant; "star" is the
     full coupled model, the two baselines reduce its degrees of
     freedom."""
-    fading = FadingParams(
-        rician_factor=cfg.rician_linear, carrier_freq_ghz=cfg.freq_ghz,
-        n_x=cfg.n_x)
-    sensing = SensingParams(
-        tau=cfg.sensing_tau, P=cfg.sensing_slots, sigma_s2=cfg.noise_watt,
-        kappa_t=cfg.kappa_linear)
-    return SecureIsacEnv(
-        geometry=build_geometry(cfg), fading=fading, sensing=sensing,
-        L=cfg.L, N=cfg.N, noise_power=cfg.noise_watt, p_max=cfg.p0_watt,
-        r_min=cfg.r0, T=cfg.T, mode=cfg.protocol, variant=cfg.baseline,
-        seed=seed)
+    return SecureIsacEnv(cfg, seed)
 
 
 def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):

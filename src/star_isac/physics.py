@@ -28,7 +28,8 @@ product, with no filter vector.
 rates and echo SNR into the step's record.
 
 Rates are log2 (bps/Hz). SINR/SNR values and the echo threshold are
-linear; dB conversion happens once at config load. Reductions call
+linear; dB conversion, and the check that P_0 and the noise variances
+are positive and finite, happen once at config load. Reductions call
 ``np.add.reduce`` directly: the reduction ``np.sum`` runs, without its
 Python-level dispatch.
 """
@@ -54,12 +55,6 @@ class SensingParams:
     P: int              # matched-filter slot count
     sigma_s2: float     # sensing noise variance, watts
     kappa_t: float      # echo-SNR threshold, linear
-
-    def __post_init__(self):
-        if self.P < 1:
-            raise PhysicsError("P must be >= 1")
-        if self.sigma_s2 <= 0:
-            raise PhysicsError("sensing noise variance must be positive")
 
 
 @dataclass
@@ -95,8 +90,6 @@ def effective_channels(D_conj: np.ndarray, R_conj: np.ndarray,
 def sinrs(h_eff: np.ndarray, K: np.ndarray, sigma2: float) -> np.ndarray:
     """(M+2) x M matrix: entry [k, m] is the SINR of user m's stream at
     receiver k, all read off one |h^H K|^2 matrix."""
-    if sigma2 <= 0:
-        raise PhysicsError("noise variance must be positive")
     M = K.shape[1] - K.shape[0]
     power = np.abs(h_eff @ K)
     np.square(power, out=power)
@@ -195,8 +188,6 @@ def evaluate(H: np.ndarray, D_conj: np.ndarray, R_conj: np.ndarray,
 def project_power(K_raw: np.ndarray, P_0: float) -> np.ndarray:
     """K scaled down onto the total-power ball trace(K K^H) <= P_0;
     directions are preserved. Within the budget this is K_raw itself."""
-    if P_0 <= 0:
-        raise PhysicsError("power budget must be positive")
     tr = np.add.reduce(np.abs(K_raw) ** 2, axis=None)
     return K_raw if tr <= P_0 else K_raw * np.sqrt(P_0 / tr)
 

@@ -96,13 +96,14 @@ def random_instance(rng, L=3, N=6, M=2, scale=1.0):
     return inst
 
 
-def naive_episode_fading(geometry, params, L, N, T, seed):
-    """Per-slot (H, D, R) unit-power fading of one episode, drawn slot by
-    slot: one child stream of the seed per link, in the order BS-RIS,
-    BS-users, RIS-users, BS-Eve, RIS-Eve, BS-target, RIS-target; within
-    a stream, per slot and per receiver, the real parts and then the
-    imaginary parts. D and R stack the users, Eve and the target."""
-    M = len(geometry.lu_positions)
+def naive_episode_fading(cfg, T, seed):
+    """Per-slot (H, D, R) unit-power fading of one episode of scenario
+    ``cfg``, drawn slot by slot: one child stream of the seed per link,
+    in the order BS-RIS, BS-users, RIS-users, BS-Eve, RIS-Eve, BS-target,
+    RIS-target; within a stream, per slot and per receiver, the real
+    parts and then the imaginary parts. D and R stack the users, Eve and
+    the target."""
+    L, N, M = cfg.L, cfg.N, cfg.M
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     bs_ris, bs_lu, ris_lu, bs_eve, ris_eve, bs_st, ris_st = (
@@ -114,14 +115,15 @@ def naive_episode_fading(geometry, params, L, N, T, seed):
 
     # LoS part of BS->RIS: angles from the positions, UPA at the RIS with
     # row-major indexing, ULA at the BS
-    v = geometry.ris_position - geometry.bs_position
+    v = np.asarray(cfg.geometry["ris"], float) - np.asarray(
+        cfg.geometry["bs"], float)
     d = np.linalg.norm(v)
     beta_b = np.arctan2(v[1], v[0])
     beta_r = np.arcsin(np.clip(-v[2] / d, -1.0, 1.0))
     zeta_r = np.arctan2(-v[1], -v[0])
-    lam = params.wavelength
+    lam = 299_792_458.0 / (cfg.freq_ghz * 1e9)
     n = np.arange(N)
-    row, col = n // params.n_x, n % params.n_x
+    row, col = n // cfg.n_x, n % cfg.n_x
     eta1 = np.sin(beta_r) * np.sin(zeta_r)
     eta2 = np.sin(beta_r) * np.cos(zeta_r)
     # half-wavelength element spacing on both arrays
@@ -129,7 +131,7 @@ def naive_episode_fading(geometry, params, L, N, T, seed):
     f_b = np.exp(1j * 2.0 * np.pi * np.arange(L) * (lam / 2.0)
                  * np.sin(beta_b) / lam)
     los = np.outer(f_r, f_b)
-    F = params.rician_factor
+    F = cfg.rician_linear
 
     slots = []
     for _ in range(T):

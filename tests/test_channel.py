@@ -3,30 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from star_isac.channel import (ChannelError, FadingParams, SystemGeometry,
-                               generate_episode_channels, geometry_angles,
-                               link_constants, link_loss_table,
-                               loss_db_to_amplitude, path_loss_los,
-                               path_loss_nlos, steering_bs, steering_ris)
+from star_isac.channel import (generate_episode_channels, geometry_angles,
+                               link_constants, loss_db_to_amplitude,
+                               path_loss_los, path_loss_nlos, steering_bs,
+                               steering_ris)
+from star_isac.experiments import ScenarioConfig
 
 from oracles import naive_episode_fading
 
 
-def default_geometry(M=2):
-    lus = [(158.0 + 4 * m, 163.0 - 3 * m, 1.5) for m in range(M)]
-    return SystemGeometry(
-        bs_position=(0, 0, 5), ris_position=(150, 150, 15),
-        lu_positions=lus, eve_position=(162, 166, 1.5),
-        st_position=(138, 141, 1.5))
+def scenario(L=4, N=12, M=2, rician_db=3.0):
+    """A 2 GHz scenario with n_x = 4, an elevated surface, users and Eve
+    beyond it and the target before it."""
+    lus = tuple((158.0 + 4 * m, 163.0 - 3 * m, 1.5) for m in range(M))
+    return ScenarioConfig(
+        L=L, N=N, M=M, n_x=4, freq_ghz=2.0, rician_db=rician_db,
+        geometry={"bs": (0, 0, 5), "ris": (150, 150, 15), "lus": lus,
+                  "eve": (162, 166, 1.5), "st": (138, 141, 1.5)})
 
 
-def default_fading(F=2.0):
-    return FadingParams(rician_factor=F, carrier_freq_ghz=2.0, n_x=4)
+def nlos_amplitude(source, point):
+    """Path-loss amplitude of an NLoS link at 2 GHz, from ``source`` to a
+    receiver at ``point``, as ``link_constants`` computes it."""
+    source, point = np.asarray(source, float), np.asarray(point, float)
+    return loss_db_to_amplitude(path_loss_nlos(
+        np.linalg.norm(source - point), 2.0, z_r=point[2]))
 
 
-def episode(T, seed, L=4, N=12, F=2.0):
-    """Channels of one episode in the default geometry."""
-    links = link_constants(default_geometry(), default_fading(F), L, N)
+def episode(T, seed, L=4, N=12, rician_db=3.0):
+    """Channels of one episode in the default scenario."""
+    links = link_constants(scenario(L, N, rician_db=rician_db))
     return generate_episode_channels(links, T, seed)
 
 
@@ -57,13 +63,6 @@ class TestPathLoss:
     def test_nlos_never_below_los(self, d, f1, z_r):
         assert path_loss_nlos(d, f1, z_r) >= path_loss_los(d, f1) - 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_nonpositive_inputs_rejected(self, bad):
-        with pytest.raises(ChannelError):
-            path_loss_los(bad, 1.0)
-        with pytest.raises(ChannelError):
-            path_loss_nlos(1.0, bad)
-
 
 class TestSteering:
     def test_first_entry_is_one(self):
@@ -91,26 +90,21 @@ class TestSteering:
             row, col = n // n_x, n % n_x
             assert row * n_x + col == n
 
-    def test_nx_must_divide(self):
-        with pytest.raises(ChannelError):
-            steering_ris(10, 0.1, 0.1, 0.075, 0.15, 4)
-        with pytest.raises(ChannelError):
-            steering_ris(8, 0.1, 0.1, 0.075, 0.15, 0)
-
 
 class TestRician:
     """The BS->RIS link: unit-power Rician fading H_fading, scaled by its
     path-loss amplitude in H."""
 
     def test_large_f_is_rank_one(self):
-        for H in episode(T=3, seed=0, L=4, N=8, F=1e9).H_fading:
+        # F = 1e9
+        for H in episode(T=3, seed=0, L=4, N=8, rician_db=90.0).H_fading:
             s = np.linalg.svd(H, compute_uv=False)
             assert s[1] / s[0] < 1e-4
             assert np.linalg.norm(H, "fro") ** 2 == pytest.approx(32.0, rel=1e-3)
 
     def test_zero_f_unit_variance(self):
-        # Monte-Carlo oracle on the Gaussian entry variance
-        H = episode(T=200, seed=1, L=5, N=12, F=0.0).H_fading
+        # Monte-Carlo oracle on the Gaussian entry variance; F = 1e-30
+        H = episode(T=200, seed=1, L=5, N=12, rician_db=-300.0).H_fading
         assert H.shape == (200, 12, 5)
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.02)
 
@@ -123,20 +117,11 @@ class TestRician:
 
     def test_frobenius_power_any_f(self):
         # E{||H||_F^2} = lambda*N*L regardless of F
-        links = link_constants(default_geometry(), default_fading(F=2.0),
-                               L=4, N=8)
+        links = link_constants(scenario(L=4, N=8))
         H = generate_episode_channels(links, T=3000, seed=5).H
         vals = np.linalg.norm(H, "fro", axis=(1, 2)) ** 2
         assert np.mean(vals) == pytest.approx(links.H_amp ** 2 * 32.0,
                                               rel=0.03)
-
-
-class TestGeometry:
-    def test_coincident_positions_rejected(self):
-        with pytest.raises(ChannelError):
-            SystemGeometry(bs_position=(0, 0, 5), ris_position=(0, 0, 5),
-                           lu_positions=[(2, 2, 2)], eve_position=(3, 3, 3),
-                           st_position=(4, 4, 4))
 
 
 class TestEpisodeChannels:
@@ -148,10 +133,6 @@ class TestEpisodeChannels:
         assert chans.R.shape == chans.R_fading.shape == (1, 4, 12)
         assert all(np.all(np.isfinite(v)) for v in
                    [chans.H, chans.D, chans.R])
-
-    def test_t_must_be_positive(self):
-        with pytest.raises(ChannelError):
-            episode(T=0, seed=0)
 
     def test_seeded_determinism(self):
         a = episode(T=3, seed=11)
@@ -166,29 +147,29 @@ class TestEpisodeChannels:
 
     def test_per_link_power_matches_path_loss(self):
         # Monte-Carlo: empirical per-entry power equals the linear loss
-        geometry = default_geometry()
-        params = default_fading()
+        g = scenario().geometry
         chans = episode(T=4000, seed=3)
-        losses = link_loss_table(geometry, params)
-        lin = loss_db_to_amplitude(losses["bs_eve"]) ** 2
+        lin = nlos_amplitude(g["bs"], g["eve"]) ** 2
         emp = np.mean(np.abs(chans.D[:, -2]) ** 2)
         assert emp == pytest.approx(lin, rel=0.03)
-        lin_st = loss_db_to_amplitude(losses["ris_st"]) ** 2
+        lin_st = nlos_amplitude(g["ris"], g["st"]) ** 2
         emp_st = np.mean(np.abs(chans.R[:, -1]) ** 2)
         assert emp_st == pytest.approx(lin_st, rel=0.03)
 
     def test_bs_ris_uses_los_others_nlos(self):
-        geometry = default_geometry()
-        params = default_fading()
-        losses = link_loss_table(geometry, params)
-        d = np.linalg.norm(geometry.bs_position - geometry.ris_position)
-        assert losses["bs_ris"] == pytest.approx(path_loss_los(d, 2.0))
-        d_eve = np.linalg.norm(geometry.bs_position - geometry.eve_position)
-        assert losses["bs_eve"] == pytest.approx(
-            path_loss_nlos(d_eve, 2.0, z_r=geometry.eve_position[2]))
+        cfg = scenario()
+        g = cfg.geometry
+        links = link_constants(cfg)
+        d = np.linalg.norm(np.subtract(g["bs"], g["ris"]))
+        assert links.H_amp == pytest.approx(
+            loss_db_to_amplitude(path_loss_los(d, 2.0)))
+        assert links.D_amp[-2, 0] == pytest.approx(
+            nlos_amplitude(g["bs"], g["eve"]))
 
     def test_geometry_angles_consistent(self):
-        beta_b, beta_r, zeta_r = geometry_angles(default_geometry())
+        g = scenario().geometry
+        beta_b, beta_r, zeta_r = geometry_angles(np.asarray(g["bs"], float),
+                                                 np.asarray(g["ris"], float))
         assert -np.pi <= beta_b <= np.pi
         assert -np.pi / 2 <= beta_r <= np.pi / 2
 
@@ -205,16 +186,15 @@ class TestStreamOrder:
         def fresh():  # spawning advances a SeedSequence, so build one per call
             return np.random.SeedSequence(42) if seed == "seed-sequence" else seed
 
-        geometry, params = default_geometry(M), default_fading()
-        want = naive_episode_fading(geometry, params, L, N, T, fresh())
-        got = generate_episode_channels(
-            link_constants(geometry, params, L, N), T, fresh())
-        losses = link_loss_table(geometry, params)
-        H_amp = loss_db_to_amplitude(losses["bs_ris"])
-        D_amp = np.array([[loss_db_to_amplitude(x)] for x in
-                          [*losses["bs_lu"], losses["bs_eve"], losses["bs_st"]]])
-        R_amp = np.array([[loss_db_to_amplitude(x)] for x in
-                          [*losses["ris_lu"], losses["ris_eve"], losses["ris_st"]]])
+        cfg = scenario(L, N, M)
+        want = naive_episode_fading(cfg, T, fresh())
+        got = generate_episode_channels(link_constants(cfg), T, fresh())
+        g = cfg.geometry
+        H_amp = loss_db_to_amplitude(path_loss_los(
+            np.linalg.norm(np.subtract(g["bs"], g["ris"])), 2.0))
+        receivers = (*g["lus"], g["eve"], g["st"])
+        D_amp = np.array([[nlos_amplitude(g["bs"], p)] for p in receivers])
+        R_amp = np.array([[nlos_amplitude(g["ris"], p)] for p in receivers])
         assert len(got.H) == len(want) == T
         for t, (H, D, R) in enumerate(want):
             assert np.array_equal(got.H_fading[t], H)

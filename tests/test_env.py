@@ -9,6 +9,7 @@ from star_isac import env as env_module
 from star_isac import physics
 from star_isac.env import EnvError, SecureIsacEnv, state_features
 from star_isac.experiments import ScenarioConfig, build_baseline
+from star_isac.physics import SensingParams
 
 from oracles import naive_sinr, naive_step
 
@@ -59,28 +60,16 @@ class TestDimensions:
         with pytest.raises(Exception):
             make_env(protocol="ts", baseline="spliced")
 
-    def test_unsupported_surface_rejected(self):
-        env = make_env()
-        for mode, variant in (("ts", "spliced"), ("ts", "conventional"),
-                              ("xx", "star"), ("es", "flat")):
-            with pytest.raises(EnvError, match="unsupported surface"):
-                SecureIsacEnv(
-                    geometry=env.geometry, fading=env.fading,
-                    sensing=env.sensing, L=3, N=4,
-                    noise_power=env.noise_power, p_max=env.p_max,
-                    r_min=env.r_min, T=5, mode=mode, variant=variant)
-
-    def test_spliced_needs_even_n(self):
-        cfg = small_cfg(N=6, n_x=3)
-        env = build_baseline(cfg, seed=0)  # even N fine
-        assert env.N == 6
-        from star_isac.channel import FadingParams
-        with pytest.raises(EnvError):
-            SecureIsacEnv(
-                geometry=env.geometry, fading=env.fading,
-                sensing=env.sensing, L=3, N=5,
-                noise_power=env.noise_power, p_max=env.p_max,
-                r_min=env.r_min, T=5, variant="spliced")
+    def test_attributes_come_from_the_config(self):
+        cfg = small_cfg(protocol="ts", p0_dbm=30.0, r0=0.5)
+        env = SecureIsacEnv(cfg, seed=0)
+        assert (env.L, env.N, env.M, env.T) == (cfg.L, cfg.N, cfg.M, cfg.T)
+        assert (env.variant, env.mode) == (cfg.baseline, cfg.protocol)
+        assert env.noise_power == cfg.noise_watt
+        assert (env.p_max, env.r_min) == (cfg.p0_watt, cfg.r0)
+        assert env.sensing == SensingParams(
+            tau=cfg.sensing_tau, P=cfg.sensing_slots,
+            sigma_s2=cfg.noise_watt, kappa_t=cfg.kappa_linear)
 
 
 class TestEpisodeControl:

@@ -9,7 +9,8 @@ import pytest
 
 from star_isac.cli import build_parser, main as cli_main
 from star_isac.env import SecureIsacEnv
-from star_isac.experiments import (AGENTS, DEFAULT_GEOMETRY, FINAL_WINDOW,
+from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
+                                   DEFAULT_GEOMETRY, FINAL_WINDOW,
                                    SWEEP_AXES, ConfigError, RunError,
                                    ScenarioConfig, build_agent,
                                    build_baseline, episode_returns,
@@ -80,6 +81,8 @@ class TestConfig:
         ("geometry.lus", "1,2,3;1,2,3", "coincides with geometry.lus[0]"),
         ("geometry.st", "1,2", "need three finite coordinates"),
         ("geometry.bs", "0,0,nan", "need three finite coordinates"),
+        ("geometry.lus", "1,2,3", "geometry.lus = 1,2,3: need M = 2 user "
+         "positions"),
     ])
     def test_bad_geometry_rejected_at_load(self, key, value, why):
         with pytest.raises(ConfigError, match=re.escape(why)):
@@ -89,7 +92,7 @@ class TestConfig:
         dict(protocol="fdd"), dict(algorithm="ppo"), dict(baseline="ris"),
         dict(L=0), dict(seeds=()), dict(N=5, n_x=2),
         dict(protocol="ts", baseline="spliced"),
-        dict(baseline="spliced", N=5, n_x=5),
+        dict(baseline="spliced", N=5, n_x=5), dict(seeds=(0, 0)),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -120,6 +123,18 @@ class TestConfig:
                    inspect.signature(agent_cls).parameters.items()
                    if p.kind is p.KEYWORD_ONLY}
         assert set(passed) == options
+
+    def test_every_numeric_field_is_checked_at_load(self):
+        # the channel, physics and env trust the config, so a field
+        # without a check here is checked nowhere
+        numeric = {f.name for f in fields(ScenarioConfig)
+                   if type(f.default) in (int, float)}
+        assert numeric == {key for key, _, _ in _NUMERIC_CHECKS}
+        decibel = {f.name for f in fields(ScenarioConfig)
+                   if f.name.endswith(("_db", "_dbm"))}
+        assert decibel == {key for key, _, _, _ in _LINEAR_CHECKS}
+        for key, view, _, _ in _LINEAR_CHECKS:
+            assert isinstance(getattr(ScenarioConfig, view), property)
 
     def test_scenario_id_stable_and_sensitive(self):
         a, b = tiny_cfg(), tiny_cfg()
@@ -424,6 +439,18 @@ class TestCli:
             "integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds, why", [
+        ("", "at least one seed required"), ("0,0", "a seed repeats"),
+    ])
+    def test_seeds_option_checked_at_load(self, tmp_path, capsys, seeds,
+                                          why):
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
+                       "--seeds", seeds, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "config error: seeds = " in err and why in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_action_exit_three(self, tmp_path, capsys, monkeypatch):
         sample = SacAgent.sample_action
 
@@ -461,6 +488,9 @@ class TestCli:
         ("batch_size", "0"), ("hidden_units", "0"), ("lr", "-1"),
         ("sensing_slots", "0"), ("buffer_capacity", "39"), ("soft_rate", "0"),
         ("freq_ghz", "0"), ("p0_dbm", "nan"), ("seeds", "-1"),
+        ("rician_db", "4000"), ("sensing_tau", "1e300"),
+        ("noise_dbm", "-4000"), ("p0_dbm", "-4000"), ("kappa_db", "4000"),
+        ("seeds", "0,0"),
     ])
     def test_bad_value_exit_two_names_key(self, tmp_path, capsys, key, value):
         p = Path(self.write_cfg(tmp_path))

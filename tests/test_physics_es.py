@@ -55,12 +55,6 @@ class TestSinrEs:
         inst["K_w"] = np.zeros_like(inst["K_w"])
         assert np.all(sinrs(es_channels(inst), make_K(inst), 1.0) == 0.0)
 
-    def test_noise_must_be_positive(self):
-        rng = np.random.default_rng(1)
-        inst = random_instance(rng)
-        with pytest.raises(PhysicsError):
-            sinrs(es_channels(inst), make_K(inst), 0.0)
-
     def test_identical_channels_equal_sinr(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng)
