@@ -127,9 +127,8 @@ def link_constants(cfg: ScenarioConfig) -> LinkConstants:
     """The ``LinkConstants`` of a scenario. BS->RIS uses the LoS formula
     (elevated RIS); every other link is NLoS with the receiver's own
     height. Both arrays space their elements half a wavelength apart."""
-    g = cfg.geometry
-    bs, ris = np.asarray(g["bs"], float), np.asarray(g["ris"], float)
-    receivers = [np.asarray(p, float) for p in (*g["lus"], g["eve"], g["st"])]
+    bs, ris = np.asarray(cfg.bs, float), np.asarray(cfg.ris, float)
+    receivers = [np.asarray(p, float) for p in (*cfg.lus, cfg.eve, cfg.st)]
     f1 = cfg.freq_ghz
     F = cfg.rician_linear
     lam = C_LIGHT / (f1 * 1e9)

@@ -8,21 +8,21 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import (AGENTS, SWEEP_AXES, ConfigError, ScenarioConfig,
-                          load_config, run_scenario, sweep)
-from .star_ris import SURFACES
+from .experiments import (SWEEP_AXES, ConfigError, ScenarioConfig,
+                          load_config, parse_value, run_scenario, sweep)
+
+
+# option -> the config key it sets, its value parsed as in a config file
+OPTIONS = {"algo": "algorithm", "protocol": "protocol", "baseline": "baseline",
+           "seeds": "seeds", "episodes": "episodes"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat dotted-key config file")
     p.add_argument("--out", metavar="DIR", default="results", help="output directory")
-    p.add_argument("--algo", choices=list(AGENTS))
-    p.add_argument("--protocol", choices=list(dict.fromkeys(
-        protocol for _, protocol in SURFACES)))
-    p.add_argument("--baseline", choices=list(dict.fromkeys(
-        variant for variant, _ in SURFACES)))
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--episodes", type=int)
+    for option, key in OPTIONS.items():
+        p.add_argument(f"--{option}",
+                       help=f"sets {key}, written as in a config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,31 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_seeds(text: str) -> tuple:
-    seeds = []  # none for "", which the config rejects
-    for place, entry in enumerate(text.split(",") if text else (), 1):
-        try:
-            seeds.append(int(entry))
-        except ValueError:
-            raise ConfigError(f"--seeds {text!r}: entry {place}, {entry!r}, "
-                              "is not an integer") from None
-    return tuple(seeds)
-
-
 def resolve_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    updates = {}
-    if args.algo:
-        updates["algorithm"] = args.algo
-    if args.protocol:
-        updates["protocol"] = args.protocol
-    if args.baseline:
-        updates["baseline"] = args.baseline
-    if args.seeds is not None:
-        updates["seeds"] = _parse_seeds(args.seeds)
-    if args.episodes is not None:
-        updates["episodes"] = args.episodes
-    return replace(cfg, **updates) if updates else cfg
+    return replace(cfg, **dict(
+        parse_value(key, getattr(args, option))
+        for option, key in OPTIONS.items()
+        if getattr(args, option) is not None))
 
 
 def main(argv=None) -> int:

@@ -1,22 +1,22 @@
 """Scenario configuration, baseline construction, training drivers,
 sweeps, and CSV emission.
 
-Config files are flat dotted-key text (``section.key = value``); unknown
-keys are errors. dBm/dB inputs are converted to linear exactly once, at
-load. A ``ScenarioConfig`` checks every value and linear view when it is
-made, naming the key it rejects; the layers beneath trust it. All CSV
-floats are serialized with 17 significant digits so summaries are
-recomputable bit-for-bit from the raw rows.
+Config files are flat ``key = value`` text, each key in its one text
+form from ``KEYS``; unknown keys are errors. dBm/dB inputs are converted
+to linear exactly once, at load. A ``ScenarioConfig`` checks every value
+and linear view when it is made, each error starting ``<key> =
+<value>``; the layers beneath trust it. All CSV floats are serialized
+with 17 significant digits so summaries are recomputable bit-for-bit
+from the raw rows.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,24 +37,6 @@ class ConfigError(ValueError):
 
 class RunError(RuntimeError):
     """A training run produced a value it cannot record."""
-
-
-# Users and eavesdropper sit in the immediate vicinity of the surface
-# (meters away), so the surface cascade dominates the long direct links
-# from the base station and the surface architecture actually matters.
-# The sensing target sits several meters out on the reflection side: its
-# echo is then dominated by the direct base-station path, so serving the
-# sensing constraint pulls transmit power away from the users' cascade
-# and the sensing/communication trade-off is real. Side A (reflection,
-# sensing target) faces the base station; side B (transmission, users
-# and eavesdropper) faces away.
-DEFAULT_GEOMETRY = {
-    "bs": (0.0, 0.0, 5.0),
-    "ris": (150.0, 150.0, 3.0),
-    "lus": ((150.6, 150.8, 1.5), (150.8, 150.4, 1.5)),
-    "eve": (154.5, 154.5, 1.5),
-    "st": (145.5, 146.0, 1.5),
-}
 
 
 @dataclass(frozen=True)
@@ -84,7 +66,20 @@ class ScenarioConfig:
     n_x: int = 4
     sensing_slots: int = 30
     sensing_tau: float = 3.0e4        # compound echo magnitude
-    geometry: dict = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
+    # Points (x, y, z) in meters. Users and Eve sit meters from the
+    # surface, so its cascade dominates the long direct links from the
+    # base station and the surface architecture actually matters. The
+    # sensing target sits several meters out on the reflection side: its
+    # echo is then dominated by the direct base-station path, so serving
+    # the sensing constraint pulls transmit power away from the users'
+    # cascade and the sensing/communication trade-off is real. Side A
+    # (reflection, sensing target) faces the base station; side B
+    # (transmission, users and Eve) faces away.
+    bs: tuple = (0.0, 0.0, 5.0)
+    ris: tuple = (150.0, 150.0, 3.0)
+    lus: tuple = ((150.6, 150.8, 1.5), (150.8, 150.4, 1.5))  # one per user
+    eve: tuple = (154.5, 154.5, 1.5)
+    st: tuple = (145.5, 146.0, 1.5)
 
     def __post_init__(self):
         for key, ok, need in _NUMERIC_CHECKS:
@@ -100,17 +95,22 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} = {getattr(self, key)!r}: {view} "
                                   f"is {value!r}; {need}")
         if self.buffer_capacity < 10 * self.batch_size:
-            raise ConfigError("buffer_capacity must hold the 10 batches "
-                              "that updates wait for (10 * batch_size)")
-        if self.algorithm not in AGENTS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"buffer_capacity = {self.buffer_capacity}: "
+                              f"need {10 * self.batch_size} = 10 * "
+                              "batch_size, the batches updates wait for")
+        for key, options in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in options:
+                raise ConfigError(f"{key} = {value!r}: need one of "
+                                  f"{', '.join(options)}")
         if (self.baseline, self.protocol) not in star_ris.SURFACES:
             supported = ", ".join(f"{b}/{p}" for b, p in star_ris.SURFACES)
-            raise ConfigError(f"baseline {self.baseline!r} with protocol "
-                              f"{self.protocol!r}: supported baseline/"
-                              f"protocol pairs are {supported}")
+            raise ConfigError(f"baseline = {self.baseline!r}: not with "
+                              f"protocol {self.protocol!r}; supported "
+                              f"baseline/protocol pairs are {supported}")
         if self.baseline == "spliced" and self.N % 2:
-            raise ConfigError("baseline 'spliced' needs an even N")
+            raise ConfigError(f"N = {self.N}: baseline 'spliced' needs an "
+                              "even N")
         if not self.seeds:
             raise ConfigError(f"seeds = {self.seeds!r}: at least one seed "
                               "required")
@@ -119,15 +119,13 @@ class ScenarioConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds = {self.seeds!r}: a seed repeats")
         if self.N % self.n_x != 0:
-            raise ConfigError("n_x must divide N")
-        if len(self.geometry["lus"]) != self.M:
-            lus = ";".join(_fmt_point(q) for q in self.geometry["lus"])
-            raise ConfigError(f"geometry.lus = {lus}: need M = {self.M} "
-                              "user positions")
-        g = self.geometry
-        points = {"geometry.bs": g["bs"], "geometry.ris": g["ris"],
-                  **{f"geometry.lus[{m}]": p for m, p in enumerate(g["lus"])},
-                  "geometry.eve": g["eve"], "geometry.st": g["st"]}
+            raise ConfigError(f"n_x = {self.n_x}: n_x must divide N = {self.N}")
+        if len(self.lus) != self.M:
+            raise ConfigError(f"geometry.lus = {_fmt_points(self.lus)}: need "
+                              f"M = {self.M} user positions")
+        points = {"geometry.bs": self.bs, "geometry.ris": self.ris,
+                  **{f"geometry.lus[{m}]": p for m, p in enumerate(self.lus)},
+                  "geometry.eve": self.eve, "geometry.st": self.st}
         seen = {}
         for key, p in points.items():
             if len(p) != 3 or not all(_is_real(x) for x in p):
@@ -160,20 +158,9 @@ class ScenarioConfig:
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def as_flat_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "geometry":
-                out["geometry.bs"] = _fmt_point(v["bs"])
-                out["geometry.ris"] = _fmt_point(v["ris"])
-                out["geometry.lus"] = ";".join(_fmt_point(p) for p in v["lus"])
-                out["geometry.eve"] = _fmt_point(v["eve"])
-                out["geometry.st"] = _fmt_point(v["st"])
-            elif f.name == "seeds":
-                out["seeds"] = ",".join(str(s) for s in v)
-            else:
-                out[f.name] = str(v)
-        return out
+        """Every config key with its value's text form."""
+        return {key: fmt(getattr(self, name))
+                for key, (name, _, fmt) in KEYS.items()}
 
 
 def _is_int(v) -> bool:
@@ -218,56 +205,92 @@ _LINEAR_CHECKS = (
                       ("rician_db", "rician_linear"))),
 )
 
+# text field -> the values it takes
+_CHOICES = {"algorithm": tuple(AGENTS),
+            "protocol": tuple(dict.fromkeys(p for _, p in star_ris.SURFACES)),
+            "baseline": tuple(dict.fromkeys(b for b, _ in star_ris.SURFACES))}
+
+
+def _fmt_coord(x) -> str:
+    # short where that reads back to x, so distinct points print apart
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
 
 def _fmt_point(p) -> str:
-    return ",".join(f"{x:g}" for x in p)
+    return ",".join(_fmt_coord(x) for x in p)
 
 
-def _parse_point(s: str) -> tuple:
-    return tuple(float(x) for x in s.split(","))
+def _parse_point(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
 
 
-# scalar field -> the type of its default, which parses its value
-_SCALAR_KEYS = {f.name: type(f.default) for f in fields(ScenarioConfig)
-                if type(f.default) in (int, float, str)}
-_GEOM_KEYS = {"geometry.bs", "geometry.ris", "geometry.lus", "geometry.eve",
-              "geometry.st"}
+def _fmt_points(points) -> str:
+    return ";".join(_fmt_point(p) for p in points)
 
 
-def parse_config(text: str, **overrides) -> ScenarioConfig:
+def _parse_seeds(text: str) -> tuple:
+    seeds = []  # none for "", which the config rejects
+    for place, entry in enumerate(text.split(",") if text else (), 1):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise ValueError(f"entry {place}, {entry!r}, is not an "
+                             "integer") from None
+    return tuple(seeds)
+
+
+def _scalar_form(kind) -> tuple:
+    # formatted through the field's type, so 30 and 30.0 print alike
+    return kind, lambda v: str(kind(v))
+
+
+# config key -> (field, parse its text, format its value): the one text
+# form of each key, which files, CLI options, sweep values, config.echo
+# and scenario_id all use
+KEYS = {
+    **{f.name: (f.name, *_scalar_form(type(f.default)))
+       for f in fields(ScenarioConfig)
+       if type(f.default) in (int, float, str)},
+    "seeds": ("seeds", _parse_seeds, lambda v: ",".join(map(str, v))),
+    **{f"geometry.{name}": (name, _parse_point, _fmt_point)
+       for name in ("bs", "ris", "eve", "st")},
+    "geometry.lus": ("lus", lambda text: tuple(
+        _parse_point(p) for p in text.split(";") if p), _fmt_points),
+}
+
+
+def parse_value(key: str, text: str):
+    """(field, value) that ``key = text`` sets."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    name, parse, _ = KEYS[key]
+    try:
+        return name, parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {text!r}: {exc}") from exc
+
+
+def parse_config(text: str) -> ScenarioConfig:
     """Parse flat dotted-key config text. '#' starts a comment; unknown
     keys fail fast."""
-    kwargs: dict = {}
-    geometry = dict(DEFAULT_GEOMETRY)
+    kwargs = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _SCALAR_KEYS and key != "seeds" and key not in _GEOM_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _SCALAR_KEYS:
-                kwargs[key] = _SCALAR_KEYS[key](value)
-            elif key == "seeds":
-                kwargs["seeds"] = tuple(int(s) for s in value.split(","))
-            elif key == "geometry.lus":
-                geometry["lus"] = tuple(_parse_point(p)
-                                        for p in value.split(";") if p)
-            else:
-                geometry[key.split(".", 1)[1]] = _parse_point(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key} = {value!r}: "
-                              f"{exc}") from exc
-    kwargs["geometry"] = geometry
-    kwargs.update(overrides)
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'")
+            name, value = parse_value(*(s.strip() for s in line.split("=", 1)))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        kwargs[name] = value
     return ScenarioConfig(**kwargs)
 
 
-def load_config(path, **overrides) -> ScenarioConfig:
-    return parse_config(Path(path).read_text(), **overrides)
+def load_config(path) -> ScenarioConfig:
+    return parse_config(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -431,35 +454,30 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     return summary
 
 
-SWEEP_AXES = {
-    "lr": ("lr", float),
-    "N": ("N", int),
-    "P_0": ("p0_dbm", float),
-    "kappa_t": ("kappa_db", float),
-    "algorithm": ("algorithm", str),
-    "protocol": ("protocol", str),
-    "baseline": ("baseline", str),
-}
+# sweep axis -> the config key it varies
+SWEEP_AXES = {"lr": "lr", "N": "N", "P_0": "p0_dbm", "kappa_t": "kappa_db",
+              "algorithm": "algorithm", "protocol": "protocol",
+              "baseline": "baseline"}
 
 
 def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
-    """One run_scenario per axis value; long-format sweep.csv keyed by
-    the axis value. Every value is checked before any is trained, and
-    none may repeat another once cast; run directories and sweep.csv
-    name each value as cast (``lr_0.0001`` for ``1e-4``)."""
+    """One run_scenario per axis value, parsed as in a config file;
+    long-format sweep.csv keyed by the axis value. Every value is checked
+    before any is trained, and none may repeat once parsed; run dirs and
+    sweep.csv name each value as parsed (``lr_0.0001`` for ``1e-4``)."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unsupported sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    field_name, cast = SWEEP_AXES[axis]
+    field_name, parse, _ = KEYS[SWEEP_AXES[axis]]
     sub_cfgs = {}
     for value in values:
         try:
-            cast_value = cast(value)
-            if cast_value in sub_cfgs:
-                raise ConfigError(f"{cast_value!r} appears twice")
-            sub_cfgs[cast_value] = replace(cfg, **{field_name: cast_value})
-        except ValueError as exc:  # ConfigError, or a failed cast
+            parsed = parse(value)
+            if parsed in sub_cfgs:
+                raise ConfigError(f"{parsed!r} appears twice")
+            sub_cfgs[parsed] = replace(cfg, **{field_name: parsed})
+        except ValueError as exc:  # ConfigError, or a failed parse
             raise ConfigError(f"sweep axis {axis} = {value!r}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -115,8 +115,7 @@ def naive_episode_fading(cfg, T, seed):
 
     # LoS part of BS->RIS: angles from the positions, UPA at the RIS with
     # row-major indexing, ULA at the BS
-    v = np.asarray(cfg.geometry["ris"], float) - np.asarray(
-        cfg.geometry["bs"], float)
+    v = np.asarray(cfg.ris, float) - np.asarray(cfg.bs, float)
     d = np.linalg.norm(v)
     beta_b = np.arctan2(v[1], v[0])
     beta_r = np.arcsin(np.clip(-v[2] / d, -1.0, 1.0))

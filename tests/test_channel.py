@@ -18,8 +18,8 @@ def scenario(L=4, N=12, M=2, rician_db=3.0):
     lus = tuple((158.0 + 4 * m, 163.0 - 3 * m, 1.5) for m in range(M))
     return ScenarioConfig(
         L=L, N=N, M=M, n_x=4, freq_ghz=2.0, rician_db=rician_db,
-        geometry={"bs": (0, 0, 5), "ris": (150, 150, 15), "lus": lus,
-                  "eve": (162, 166, 1.5), "st": (138, 141, 1.5)})
+        bs=(0, 0, 5), ris=(150, 150, 15), lus=lus, eve=(162, 166, 1.5),
+        st=(138, 141, 1.5))
 
 
 def nlos_amplitude(source, point):
@@ -147,7 +147,7 @@ class TestEpisodeChannels:
 
     def test_per_link_power_matches_path_loss(self):
         # Monte-Carlo: empirical per-entry power equals the linear loss
-        g = scenario().geometry
+        g = vars(scenario())
         chans = episode(T=4000, seed=3)
         lin = nlos_amplitude(g["bs"], g["eve"]) ** 2
         emp = np.mean(np.abs(chans.D[:, -2]) ** 2)
@@ -158,7 +158,7 @@ class TestEpisodeChannels:
 
     def test_bs_ris_uses_los_others_nlos(self):
         cfg = scenario()
-        g = cfg.geometry
+        g = vars(cfg)
         links = link_constants(cfg)
         d = np.linalg.norm(np.subtract(g["bs"], g["ris"]))
         assert links.H_amp == pytest.approx(
@@ -167,7 +167,7 @@ class TestEpisodeChannels:
             nlos_amplitude(g["bs"], g["eve"]))
 
     def test_geometry_angles_consistent(self):
-        g = scenario().geometry
+        g = vars(scenario())
         beta_b, beta_r, zeta_r = geometry_angles(np.asarray(g["bs"], float),
                                                  np.asarray(g["ris"], float))
         assert -np.pi <= beta_b <= np.pi
@@ -189,7 +189,7 @@ class TestStreamOrder:
         cfg = scenario(L, N, M)
         want = naive_episode_fading(cfg, T, fresh())
         got = generate_episode_channels(link_constants(cfg), T, fresh())
-        g = cfg.geometry
+        g = vars(cfg)
         H_amp = loss_db_to_amplitude(path_loss_los(
             np.linalg.norm(np.subtract(g["bs"], g["ris"])), 2.0))
         receivers = (*g["lus"], g["eve"], g["st"])

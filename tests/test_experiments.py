@@ -10,15 +10,14 @@ import pytest
 from star_isac.cli import build_parser, main as cli_main
 from star_isac.env import SecureIsacEnv
 from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
-                                   DEFAULT_GEOMETRY, FINAL_WINDOW,
-                                   SWEEP_AXES, ConfigError, RunError,
-                                   ScenarioConfig, build_agent,
-                                   build_baseline, episode_returns,
+                                   FINAL_WINDOW, KEYS, SWEEP_AXES,
+                                   ConfigError, RunError, ScenarioConfig,
+                                   build_agent, build_baseline,
+                                   episode_columns, episode_returns,
                                    episode_secrecy, parse_config, run_scenario,
                                    run_seed, seed_summary, sweep)
 from star_isac.ddpg import DdpgAgent
 from star_isac.sac import SacAgent
-from star_isac.star_ris import SURFACES
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -28,6 +27,22 @@ def tiny_cfg(**kw):
     merged = dict(TINY)
     merged.update(kw)
     return ScenarioConfig(**merged)
+
+
+def off_default_cfgs():
+    """Configs that between them hold every field off its default. TS rules
+    out the non-star baselines, so the second varies the baseline. Eve's
+    x needs 10 significant digits, more than ``:g`` prints."""
+    every = ScenarioConfig(
+        L=3, N=4, M=1, protocol="ts", algorithm="ddpg", p0_dbm=30.0,
+        noise_dbm=-80.0, r0=0.5, kappa_db=2.0, T=3, episodes=1,
+        seeds=(3,), lr=3e-4, gamma=0.9, batch_size=4, buffer_capacity=64,
+        soft_rate=0.01, hidden_units=8, hidden_layers=1, rician_db=5.0,
+        freq_ghz=3.5, n_x=2, sensing_slots=10, sensing_tau=2.0e4,
+        bs=(1.0, 0.0, 5.0), ris=(150.0, 150.25, 3.0),
+        lus=((150.6, 150.8, 1.5),), eve=(154.5000001, 154.5, 1.5),
+        st=(145.5, 146.0, 2.0))
+    return [every, replace(every, protocol="es", baseline="conventional")]
 
 
 class TestConfig:
@@ -56,7 +71,7 @@ class TestConfig:
         assert cfg.L == 3 and cfg.N == 4
         assert cfg.algorithm == "ddpg"
         assert cfg.seeds == (5, 6)
-        assert cfg.geometry["st"] == (100.0, 110.0, 1.5)
+        assert cfg.st == (100.0, 110.0, 1.5)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -141,6 +156,34 @@ class TestConfig:
         assert a.scenario_id() == b.scenario_id()
         assert a.scenario_id() != tiny_cfg(lr=2e-4).scenario_id()
 
+    def test_scenario_id_tells_close_points_apart(self):
+        # ":g" prints both of these Eves as the default 154.5
+        a, b = (ScenarioConfig(eve=(x, 154.5, 1.5))
+                for x in (154.5000001, 154.5000002))
+        assert a.scenario_id() != b.scenario_id()
+        # the acceptance cache is keyed on the default layout's id
+        assert ScenarioConfig().scenario_id() == "4bb9e498227d"
+
+    def test_every_field_has_one_text_form(self):
+        # a field without a KEYS entry is missing from files, config.echo
+        # and scenario_id; a text form that loses bits gives two configs
+        # one id
+        assert sorted(name for name, _, _ in KEYS.values()) == \
+            sorted(f.name for f in fields(ScenarioConfig))
+        cfgs = off_default_cfgs()
+        for f in fields(ScenarioConfig):
+            assert any(getattr(c, f.name) != f.default for c in cfgs), f.name
+        for cfg in cfgs:
+            assert parse_config("".join(
+                f"{key} = {text}\n"
+                for key, text in cfg.as_flat_dict().items())) == cfg
+
+    def test_equal_configs_hash_and_print_alike(self):
+        # every field is immutable, so copies share nothing
+        a, b = ScenarioConfig(p0_dbm=30.0), ScenarioConfig(p0_dbm=30)
+        assert a == b and hash(a) == hash(b)
+        assert a.scenario_id() == b.scenario_id()
+
 
 class TestRunSeed:
     def test_row_count_and_schema(self):
@@ -151,8 +194,8 @@ class TestRunSeed:
         sid = cfg.scenario_id()
         for row in rows:
             assert row[0] == sid and row[1] == 0
-            assert len(row) == 6 + cfg.M + 3
-            assert row[9 + cfg.M - 1] in (0, 1) or True
+            assert len(row) == len(episode_columns(cfg.M))
+            assert all(type(x) is int and x in (0, 1) for x in row[-2:])
         assert [r[3] for r in rows[:cfg.T]] == list(range(cfg.T))
 
     def test_deterministic_across_reruns(self):
@@ -215,23 +258,7 @@ class TestRunScenario:
         assert summary["final_return_mean"] == pytest.approx(np.mean(finals))
 
     def test_config_echo_roundtrips(self, tmp_path):
-        # every scalar field off its default; protocol "ts" rules out the
-        # non-star baselines, so a second config varies the baseline
-        every = dict(
-            L=3, N=4, M=1, protocol="ts", algorithm="ddpg", p0_dbm=30.0,
-            noise_dbm=-80.0, r0=0.5, kappa_db=2.0, T=3, episodes=1,
-            seeds=(3,), lr=3e-4, gamma=0.9, batch_size=4, buffer_capacity=64,
-            soft_rate=0.01, hidden_units=8, hidden_layers=1, rician_db=5.0,
-            freq_ghz=3.5, n_x=2, sensing_slots=10, sensing_tau=2.0e4,
-            geometry={**DEFAULT_GEOMETRY, "lus": ((150.6, 150.8, 1.5),)})
-        cfgs = [tiny_cfg(algorithm="ddpg", p0_dbm=30.0),
-                ScenarioConfig(**every),
-                ScenarioConfig(**{**every, "protocol": "es",
-                                  "baseline": "conventional"})]
-        scalars = [f for f in fields(ScenarioConfig)
-                   if isinstance(f.default, (int, float, str))]
-        assert all(any(getattr(c, f.name) != f.default for c in cfgs[1:])
-                   for f in scalars)
+        cfgs = [tiny_cfg(algorithm="ddpg", p0_dbm=30.0), *off_default_cfgs()]
         for i, cfg in enumerate(cfgs):
             run_scenario(cfg, tmp_path / str(i))
             echoed = parse_config(
@@ -435,7 +462,7 @@ class TestCli:
                        "--seeds", "0,x", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2, err
-        assert "config error: --seeds '0,x': entry 2, 'x', is not an " \
+        assert "config error: seeds = '0,x': entry 2, 'x', is not an " \
             "integer" in err
         assert not (tmp_path / "out").exists()
 
@@ -490,7 +517,7 @@ class TestCli:
         ("freq_ghz", "0"), ("p0_dbm", "nan"), ("seeds", "-1"),
         ("rician_db", "4000"), ("sensing_tau", "1e300"),
         ("noise_dbm", "-4000"), ("p0_dbm", "-4000"), ("kappa_db", "4000"),
-        ("seeds", "0,0"),
+        ("seeds", "0,0"), ("algorithm", "ppo"), ("seeds", ""),
     ])
     def test_bad_value_exit_two_names_key(self, tmp_path, capsys, key, value):
         p = Path(self.write_cfg(tmp_path))
@@ -500,14 +527,23 @@ class TestCli:
         assert rc == 2, err
         assert f"config error: {key}" in err
 
-    def test_choices_are_the_tables(self):
+    @pytest.mark.parametrize("option, value, key", [
+        ("--algo", "ppo", "algorithm"), ("--protocol", "fdd", "protocol"),
+        ("--baseline", "ris", "baseline"), ("--episodes", "x", "episodes"),
+    ])
+    def test_bad_option_exit_two_names_key(self, tmp_path, capsys, option,
+                                           value, key):
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", self.write_cfg(tmp_path), option,
+                       value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"config error: {key} = {value!r}: " in err
+        assert not out.exists()
+
+    def test_axis_choices_are_the_sweep_axes(self):
         [commands] = [a for a in build_parser()._actions
                       if a.dest == "command"]
-        for parser in commands.choices.values():
-            choices = {a.dest: a.choices for a in parser._actions}
-            assert choices["algo"] == list(AGENTS)
-            assert set(choices["protocol"]) == {p for _, p in SURFACES}
-            assert set(choices["baseline"]) == {v for v, _ in SURFACES}
         sweep_choices = {a.dest: a.choices
                          for a in commands.choices["sweep"]._actions}
         assert sweep_choices["axis"] == list(SWEEP_AXES)
