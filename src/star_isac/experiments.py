@@ -135,6 +135,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} = {_fmt_point(p)} coincides with "
                                   f"{seen[tuple(p)]}")
             seen[tuple(p)] = key
+        # lists given for the tuple fields are stored as tuples, so equal
+        # configs compare and hash alike
+        for name in ("seeds", "bs", "ris", "eve", "st"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "lus", tuple(map(tuple, self.lus)))
 
     # linear-unit views
     @property

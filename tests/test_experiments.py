@@ -179,10 +179,17 @@ class TestConfig:
                 for key, text in cfg.as_flat_dict().items())) == cfg
 
     def test_equal_configs_hash_and_print_alike(self):
-        # every field is immutable, so copies share nothing
-        a, b = ScenarioConfig(p0_dbm=30.0), ScenarioConfig(p0_dbm=30)
-        assert a == b and hash(a) == hash(b)
-        assert a.scenario_id() == b.scenario_id()
+        # every field is immutable, so copies share nothing; lists given
+        # for the tuple fields are stored as tuples
+        tuples = ScenarioConfig(seeds=(0, 1), bs=(0.0, 0.0, 5.0))
+        lists = ScenarioConfig(seeds=[0, 1], bs=[0, 0, 5],
+                               ris=list(tuples.ris), eve=list(tuples.eve),
+                               st=list(tuples.st),
+                               lus=[list(p) for p in tuples.lus])
+        for a, b in [(ScenarioConfig(p0_dbm=30.0), ScenarioConfig(p0_dbm=30)),
+                     (tuples, lists)]:
+            assert a == b and hash(a) == hash(b)
+            assert a.scenario_id() == b.scenario_id()
 
 
 class TestRunSeed:
