@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
-                      critic_mse, soft_update)
+from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
+                      check_losses, critic_mse, soft_update)
 
 # std of the Gaussian noise added to every action component when acting
 NOISE_STD = 0.1
@@ -39,7 +39,7 @@ class DdpgAgent:
 
     # ---- acting ---------------------------------------------------------
     def select_action(self, state) -> np.ndarray:
-        a = self.actor(np.atleast_2d(state))[0]
+        a = self.actor(state)[0]
         return np.clip(a + self.rng.normal(0.0, NOISE_STD, size=a.shape),
                        -1.0, 1.0)
 
@@ -90,8 +90,8 @@ class DdpgAgent:
 
     def maybe_update(self) -> None:
         # one critic + one actor update per environment step, after a
-        # warm-up of 10 batches worth of transitions
-        if len(self.buffer) < 10 * self.batch_size:
+        # warm-up of WARMUP_BATCHES batches worth of transitions
+        if len(self.buffer) < WARMUP_BATCHES * self.batch_size:
             return
         batch = self.buffer.sample(self.batch_size, self.rng)
         check_losses({"critic loss": self.critic_update(batch),
@@ -102,8 +102,6 @@ class DdpgAgent:
 def train(env, agent: DdpgAgent, episodes: int):
     """Run the training loop; yields the env's StepOutcome of every step,
     episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
-    if agent.state_dim != env.state_dim or agent.action_dim != env.action_dim:
-        raise ValueError("agent/environment dimension mismatch")
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):

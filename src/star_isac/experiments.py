@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ddpg, sac, star_ris
 from .env import SecureIsacEnv
-from .rl_core import NonFiniteLoss
+from .rl_core import WARMUP_BATCHES, NonFiniteLoss
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
 
@@ -94,10 +94,11 @@ class ScenarioConfig:
             if not ok(value):
                 raise ConfigError(f"{key} = {getattr(self, key)!r}: {view} "
                                   f"is {value!r}; {need}")
-        if self.buffer_capacity < 10 * self.batch_size:
+        if self.buffer_capacity < WARMUP_BATCHES * self.batch_size:
             raise ConfigError(f"buffer_capacity = {self.buffer_capacity}: "
-                              f"need {10 * self.batch_size} = 10 * "
-                              "batch_size, the batches updates wait for")
+                              f"need {WARMUP_BATCHES * self.batch_size} = "
+                              f"{WARMUP_BATCHES} * batch_size, the batches "
+                              "updates wait for")
         for key, options in _CHOICES.items():
             value = getattr(self, key)
             if value not in options:
@@ -508,12 +509,13 @@ def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     return results
 
 
-def measure_runtime(cfg: ScenarioConfig, episodes: int = 45,
-                    warmup_episodes: int = 25) -> float:
-    """Mean wall-clock milliseconds per training episode, excluding the
-    leading episodes during which the replay buffer is still filling and
-    no gradient updates run. Uses the first configured seed."""
-    timed_cfg = replace(cfg, episodes=episodes,
-                        seeds=(cfg.seeds[0],))
-    _, episode_ms = run_seed(timed_cfg, timed_cfg.seeds[0])
-    return float(np.mean(episode_ms[warmup_episodes:]))
+def _full_update_episode(cfg: ScenarioConfig) -> int:
+    """First episode of cfg in which every step runs a gradient update."""
+    return -(-(WARMUP_BATCHES * cfg.batch_size - 1) // cfg.T)
+
+
+def measure_runtime(cfg: ScenarioConfig) -> float:
+    """Mean wall-clock ms per episode of the first seed's cfg.episodes,
+    from the first episode in which every step runs a gradient update."""
+    _, episode_ms = run_seed(cfg, cfg.seeds[0])
+    return float(np.mean(episode_ms[_full_update_episode(cfg):]))

@@ -19,6 +19,8 @@ CHUNK = 32768
 # every use writes a scratch slice before reading it, so it carries
 # nothing between calls; it is not for concurrent use by threads
 _SCRATCH = np.empty((2, CHUNK))
+# both agents start updating once the replay buffer holds this many batches
+WARMUP_BATCHES = 10
 
 
 class RlError(ValueError):
@@ -42,9 +44,7 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
-    if name == "linear":
-        return z
-    raise RlError(f"unknown activation {name!r}")
+    return z  # linear
 
 
 def _act_backward(name: str, delta, z, a, owned: bool) -> np.ndarray:
@@ -54,9 +54,7 @@ def _act_backward(name: str, delta, z, a, owned: bool) -> np.ndarray:
         return np.multiply(delta, z > 0.0, out=delta if owned else None)
     if name == "tanh":
         return delta * (1.0 - a * a)
-    if name == "linear":
-        return delta
-    raise RlError(f"unknown activation {name!r}")
+    return delta  # linear
 
 
 def _layer_views(sizes, vec: np.ndarray):
@@ -94,8 +92,6 @@ class Mlp:
     """
 
     def __init__(self, sizes, output_activation="linear", rng=None):
-        if len(sizes) < 2:
-            raise RlError("need at least input and output sizes")
         rng = rng or np.random.default_rng()
         self.sizes = list(sizes)
         self.activations = ["relu"] * (len(sizes) - 2) + [output_activation]
@@ -160,17 +156,15 @@ class Mlp:
         return self.forward(x)[0]
 
     def backward(self, cache, dy: np.ndarray):
-        """Backprop dy = dL/dy through the cached forward pass.
+        """Backprop a (B, d_out) dy = dL/dy through the cached forward pass.
 
         Returns (grads, None) with grads ordered as self.params: the
         net's gradient buffer, which the next backward overwrites; the
         input gradient is not computed. On the view from through(),
         returns (None, dL/dx) and computes no parameter gradients.
         """
-        if cache is None:
-            raise RlError("forward cache required")
         inputs, pre, post = cache
-        delta = np.atleast_2d(np.asarray(dy, float))
+        delta = dy
         params_too = not self._input_grad_only
         if params_too and self.grad is None:
             self.grad = np.empty_like(self.flat)
@@ -204,8 +198,6 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params, grads) -> None:
-        if self.lr == 0.0:
-            return
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
@@ -273,8 +265,6 @@ def critic_mse(critic: Mlp, batch, y: np.ndarray):
 
 def soft_update(target: Mlp, online: Mlp, eps: float) -> None:
     """target := eps*online + (1-eps)*target, elementwise."""
-    if not 0.0 <= eps <= 1.0:
-        raise RlError("soft-update rate must be in [0, 1]")
     for tp, op, s, _ in _flat_chunks(target.flat, online.flat):
         tp *= 1.0 - eps
         np.multiply(op, eps, out=s)
@@ -286,8 +276,6 @@ class ReplayBuffer:
     without-replacement batch sampling."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
-        if capacity < 1:
-            raise RlError("capacity must be positive")
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim))
         self.actions = np.zeros((capacity, action_dim))
@@ -311,8 +299,6 @@ class ReplayBuffer:
         self.count = min(self.count + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        if self.count < batch_size:
-            raise RlError("not enough transitions to sample")
         idx = rng.choice(self.count, size=batch_size, replace=False)
         return {
             "states": self.states[idx],

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rl_core import (Adam, Mlp, ReplayBuffer, RewardScale, check_losses,
-                      critic_mse, soft_update)
+from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
+                      check_losses, critic_mse, soft_update)
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -81,7 +81,7 @@ class SacAgent:
 
     # ---- policy ---------------------------------------------------------
     def _policy_stats(self, states):
-        out, cache = self.policy.forward(np.atleast_2d(states))
+        out, cache = self.policy.forward(states)
         mean = out[:, :self.action_dim]
         log_std_raw = out[:, self.action_dim:]
         log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
@@ -146,7 +146,7 @@ class SacAgent:
         mean, log_std, log_std_raw, cache = self._policy_stats(s)
         if eps is None:
             eps = self.rng.standard_normal(mean.shape)
-        a, u, log_prob = self._squash(mean, log_std, eps)
+        a, _, log_prob = self._squash(mean, log_std, eps)
 
         x = np.concatenate([s, a], axis=1)
         q1, c1 = self.critic1.forward(x)
@@ -162,11 +162,10 @@ class SacAgent:
         _, dx2 = self.critic2.through().backward(c2, 1.0 - pick1)
         dq_da = (dx1 + dx2)[:, self.state_dim:]
 
-        t = np.tanh(u)
-        one_m_t2 = 1.0 - t * t
+        one_m_t2 = 1.0 - a * a
         # d logpi / du, squash-correction term only (the Gaussian part is
         # constant in u once eps is fixed)
-        g_sq = 2.0 * t * one_m_t2 / (one_m_t2 + SQUASH_EPS)
+        g_sq = 2.0 * a * one_m_t2 / (one_m_t2 + SQUASH_EPS)
         std = np.exp(log_std)
         d_mean = (alpha * g_sq - dq_da * one_m_t2) / d
         d_log_std = (alpha * (g_sq * std * eps - 1.0)
@@ -204,7 +203,7 @@ class SacAgent:
         self.reward_scale.update(reward)
 
     def maybe_update(self) -> None:
-        if len(self.buffer) < 10 * self.batch_size:
+        if len(self.buffer) < WARMUP_BATCHES * self.batch_size:
             return
         batch = self.buffer.sample(self.batch_size, self.rng)
         critic1_loss, critic2_loss = self.critic_update(batch)
@@ -219,8 +218,6 @@ class SacAgent:
 def train(env, agent: SacAgent, episodes: int):
     """Run the training loop; yields the env's StepOutcome of every step,
     episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
-    if agent.state_dim != env.state_dim or agent.action_dim != env.action_dim:
-        raise ValueError("agent/environment dimension mismatch")
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):

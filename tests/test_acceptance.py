@@ -349,11 +349,8 @@ def test_criterion_10_monotone_trends():
 
 
 def test_criterion_11_runtime_ordering():
-    episodes, warmup = 32, 24
-    ddpg_ms = measure_runtime(ScenarioConfig(algorithm="ddpg"),
-                              episodes=episodes, warmup_episodes=warmup)
-    sac_ms = measure_runtime(ScenarioConfig(algorithm="sac"),
-                             episodes=episodes, warmup_episodes=warmup)
+    ddpg_ms = measure_runtime(ScenarioConfig(algorithm="ddpg", episodes=32))
+    sac_ms = measure_runtime(ScenarioConfig(algorithm="sac", episodes=32))
     _report(11, "runtime ordering (SAC slower)", sac_ms > ddpg_ms,
             f"SAC {sac_ms:.0f} ms/episode vs DDPG {ddpg_ms:.0f} ms/episode")
 

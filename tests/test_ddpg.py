@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from star_isac.ddpg import NOISE_STD, DdpgAgent
-from star_isac.rl_core import critic_mse
+from star_isac.rl_core import WARMUP_BATCHES, critic_mse
 
 from oracles import central_differences
 
@@ -135,7 +135,7 @@ class TestUpdateMachinery:
         agent = tiny_agent(seed=11, batch_size=4)
         rng = np.random.default_rng(11)
         flat0 = agent.critic.flat.copy()
-        for _ in range(10 * 4 - 1):
+        for _ in range(WARMUP_BATCHES * 4 - 1):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           0.0, rng.standard_normal(3), False)
             agent.maybe_update()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from star_isac.cli import build_parser, main as cli_main
-from star_isac.env import SecureIsacEnv
+from star_isac.env import EnvError, SecureIsacEnv
 from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
                                    FINAL_WINDOW, KEYS, SWEEP_AXES,
                                    ConfigError, RunError, ScenarioConfig,
@@ -17,6 +17,7 @@ from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
                                    episode_secrecy, parse_config, run_scenario,
                                    run_seed, seed_summary, sweep)
 from star_isac.ddpg import DdpgAgent
+from star_isac.rl_core import RlError
 from star_isac.sac import SacAgent
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
@@ -235,14 +236,19 @@ class TestRunSeed:
     @pytest.mark.parametrize("algorithm", list(AGENTS))
     @pytest.mark.parametrize("wider", ["state", "action"])
     def test_train_rejects_agent_of_other_dimensions(self, algorithm, wider):
+        # the first action stops a mismatched agent before it stores a
+        # transition: its net rejects a wider state, the env a wider action
+        error, message = {"state": (RlError, "input width"),
+                          "action": (EnvError, "action shape")}[wider]
         env = build_baseline(tiny_cfg(), seed=0)
         module, agent_cls = AGENTS[algorithm]
         dims = {"state": env.state_dim, "action": env.action_dim}
         dims[wider] += 1
         agent = agent_cls(dims["state"], dims["action"], hidden=(8,),
                           buffer_capacity=8, seed=0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(error, match=message):
             next(module.train(env, agent, 1))
+        assert len(agent.buffer) == 0
 
 
 class TestRunScenario:

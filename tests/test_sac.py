@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from star_isac.rl_core import critic_mse
+from star_isac.rl_core import WARMUP_BATCHES, critic_mse
 from star_isac.sac import LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, SacAgent
 
 from oracles import central_differences
@@ -217,7 +217,7 @@ class TestTemperatureTracksNoise:
     def test_wide_noise_lowers_alpha_despite_saturation(self):
         agent = self._wide_noise_agent([6.0, 0.0])
         rng = np.random.default_rng(21)
-        for _ in range(10 * agent.batch_size):
+        for _ in range(WARMUP_BATCHES * agent.batch_size):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           float(rng.standard_normal()),
                           rng.standard_normal(3), False)
@@ -232,7 +232,7 @@ class TestMachinery:
         agent = tiny_agent(seed=16, batch_size=4)
         rng = np.random.default_rng(16)
         flat0 = agent.policy.flat.copy()
-        for _ in range(10 * 4 - 1):
+        for _ in range(WARMUP_BATCHES * 4 - 1):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           0.0, rng.standard_normal(3), False)
             agent.maybe_update()

@@ -30,6 +30,7 @@ import pytest  # noqa: E402
 
 from star_isac.experiments import (ScenarioConfig, _trainer,  # noqa: E402
                                    build_agent, build_baseline)
+from star_isac.rl_core import WARMUP_BATCHES  # noqa: E402
 
 import goldens  # noqa: E402
 
@@ -46,10 +47,10 @@ RUNS = {
 EPISODES = 25
 T = 30
 KEYS = ("reward", "sum_secrecy_rate", "echo_snr")
-# both agents update once the buffer holds 10 batches, after the step
-# that stores transition 640; the steps before it depend only on the
-# environment and the initial networks
-WARMUP = 10 * ScenarioConfig().batch_size
+# both agents update once the buffer holds WARMUP_BATCHES batches, after
+# the step that stores transition 640; the steps before it depend only on
+# the environment and the initial networks
+WARMUP = WARMUP_BATCHES * ScenarioConfig().batch_size
 # Same code, BLAS kernel and machine give identical bits. Across four
 # OpenBLAS kernels and numpy without its AVX2/AVX-512 loops, one machine
 # spread the values by up to 1.5e-12 relative before the first update (a

@@ -12,12 +12,12 @@ The scenario hash covers the config only. The behaviour digest covers
 the code: it hashes a short deterministic probe of the entry's own
 config, its own agent trained in its own environment (surface variant,
 protocol, N, P0, kappa) for PROBE_EPISODES episodes, past the end of
-replay warm-up at 10 batches, so updates have run. The probe values are
-each episode's return, summed secrecy rate and summed echo SNR, and the
-sum and sum of squares of every network's parameters and every
-optimizer's moments. The reward reads the secrecy rate only in slots
-that meet the echo-SNR and rate floors, which few probe slots do, so
-the secrecy sums are what carry it into the key.
+replay warm-up at rl_core.WARMUP_BATCHES batches, so updates have run.
+The probe values are each episode's return, summed secrecy rate and
+summed echo SNR, and the sum and sum of squares of every network's
+parameters and every optimizer's moments. The reward reads the secrecy
+rate only in slots that meet the echo-SNR and rate floors, which few
+probe slots do, so the secrecy sums are what carry it into the key.
 
 A change to the agent or environment numerics of a config that shows in
 its probe moves that config's key, so the entry retrains instead of the
