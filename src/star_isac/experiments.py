@@ -341,11 +341,16 @@ def episode_columns(M: int):
             + ["echo_snr", "snr_feasible", "rate_feasible"])
 
 
+# per-seed statistics, the columns of summary.csv and sweep.csv
+SUMMARY_COLUMNS = ("final_return", "first_return", "final_secrecy")
+
+
 def run_seed(cfg: ScenarioConfig, seed: int):
-    """Train one (config, seed) pair; returns (rows, per-episode wall ms)."""
+    """Train one (config, seed) pair; returns (records, per-episode wall
+    ms). ``records[episode, step]`` holds the columns of episodes.csv
+    from reward on, the feasibility flags as 0.0 or 1.0."""
     env = build_baseline(cfg, seed=2 * seed + 1)
     agent = build_agent(cfg, env, seed=2 * seed)
-    sid = cfg.scenario_id()
     rows = []
     episode_ms = []
     t0 = time.perf_counter()
@@ -357,10 +362,9 @@ def run_seed(cfg: ScenarioConfig, seed: int):
                 now = time.perf_counter()
                 episode_ms.append((now - t0) * 1e3)
                 t0 = now
-            row = [sid, seed, episode, step, out.reward,
-                   out.sum_secrecy_rate, *out.lu_rates, out.echo_snr,
-                   int(out.snr_feasible), int(out.rate_feasible)]
-            for name, value in zip(value_columns, row[4:-2]):
+            row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
+                   out.echo_snr, out.snr_feasible, out.rate_feasible)
+            for name, value in zip(value_columns, row):
                 if not math.isfinite(value):
                     raise RunError(f"non-finite {name} ({value}) at "
                                    f"episode {episode}, step {step}")
@@ -371,34 +375,32 @@ def run_seed(cfg: ScenarioConfig, seed: int):
         episode, step = divmod(len(rows), cfg.T)
         raise RunError(f"{exc} at episode {episode}, step {step}") from exc
     episode_ms.append((time.perf_counter() - t0) * 1e3)
-    return rows, episode_ms
+    return np.array(rows, float).reshape(cfg.episodes, cfg.T, -1), episode_ms
 
 
-def episode_returns(rows) -> np.ndarray:
-    """Per-episode summed reward from raw step rows (single seed)."""
-    by_ep: dict = {}
-    for r in rows:
-        by_ep.setdefault(r[2], 0.0)
-        by_ep[r[2]] += r[4]
-    return np.array([by_ep[e] for e in sorted(by_ep)])
+def episode_returns(records) -> np.ndarray:
+    """Per-episode summed reward, added up in step order."""
+    return np.cumsum(records[:, :, 0], axis=1)[:, -1]
 
 
-def episode_secrecy(rows) -> np.ndarray:
-    by_ep: dict = {}
-    for r in rows:
-        by_ep.setdefault(r[2], []).append(r[5])
-    return np.array([np.mean(by_ep[e]) for e in sorted(by_ep)])
-
-
-def seed_summary(rows) -> dict:
-    ret = episode_returns(rows)
-    sec = episode_secrecy(rows)
+def seed_summary(records) -> dict:
+    ret = episode_returns(records)
+    sec = np.mean(records[:, :, 1], axis=1)
     w = min(FINAL_WINDOW, len(ret))
     return {
         "final_return": float(np.mean(ret[-w:])),
         "first_return": float(np.mean(ret[:w])),
         "final_secrecy": float(np.mean(sec[-w:])),
     }
+
+
+def _summary_rows(summary: dict) -> list:
+    """The rows of summary.csv and sweep.csv a run_scenario summary
+    gives: one per seed, then the across-seed means."""
+    return [*({"seed": seed, **s} for seed, s in summary["per_seed"].items()),
+            {"seed": "mean", "final_return": summary["final_return_mean"],
+             "first_return": "",
+             "final_secrecy": summary["final_secrecy_mean"]}]
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
@@ -411,21 +413,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sid = cfg.scenario_id()
-    all_rows = {}
-    timings = {}
+    runs, timings = {}, {}
     for seed in cfg.seeds:
-        rows, episode_ms = run_seed(cfg, seed)
-        all_rows[seed] = rows
-        timings[seed] = episode_ms
+        runs[seed], timings[seed] = run_seed(cfg, seed)
 
     with open(out / "episodes.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(episode_columns(cfg.M))
-        for seed in cfg.seeds:
-            for row in all_rows[seed]:
-                w.writerow([_fmt(x) for x in row])
+        for seed, records in runs.items():
+            for episode, steps in enumerate(records.tolist()):
+                for step, (*values, snr_ok, rate_ok) in enumerate(steps):
+                    w.writerow([sid, seed, episode, step, *map(_fmt, values),
+                                int(snr_ok), int(rate_ok)])
 
-    per_seed = {seed: seed_summary(rows) for seed, rows in all_rows.items()}
+    per_seed = {seed: seed_summary(records) for seed, records in runs.items()}
     finals = np.array([s["final_return"] for s in per_seed.values()])
     secs = np.array([s["final_secrecy"] for s in per_seed.values()])
     summary = {
@@ -438,14 +439,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     }
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["scenario_id", "seed", "final_return", "first_return",
-                    "final_secrecy"])
-        for seed in cfg.seeds:
-            s = per_seed[seed]
-            w.writerow([sid, seed, _fmt(s["final_return"]),
-                        _fmt(s["first_return"]), _fmt(s["final_secrecy"])])
-        w.writerow([sid, "mean", _fmt(summary["final_return_mean"]),
-                    "", _fmt(summary["final_secrecy_mean"])])
+        w.writerow(["scenario_id", "seed", *SUMMARY_COLUMNS])
+        for r in _summary_rows(summary):
+            w.writerow([sid, r["seed"], *(_fmt(r[c]) for c in SUMMARY_COLUMNS)])
 
     with open(out / "timing.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -489,23 +485,15 @@ def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for value, sub_cfg in sub_cfgs.items():
-        sub_dir = out / f"{axis}_{value}"
-        summary = run_scenario(sub_cfg, sub_dir)
-        for seed, s in summary["per_seed"].items():
-            results.append({"axis": axis, "value": value, "seed": seed,
-                            **{k: v for k, v in s.items()}})
-        results.append({"axis": axis, "value": value, "seed": "mean",
-                        "final_return": summary["final_return_mean"],
-                        "first_return": "",
-                        "final_secrecy": summary["final_secrecy_mean"]})
+        summary = run_scenario(sub_cfg, out / f"{axis}_{value}")
+        results += [{"axis": axis, "value": value, **r}
+                    for r in _summary_rows(summary)]
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["axis", "value", "seed", "final_return", "first_return",
-                    "final_secrecy"])
+        w.writerow(["axis", "value", "seed", *SUMMARY_COLUMNS])
         for r in results:
-            w.writerow([r["axis"], r["value"], r["seed"],
-                        _fmt(r["final_return"]), _fmt(r["first_return"]),
-                        _fmt(r["final_secrecy"])])
+            w.writerow([axis, r["value"], r["seed"],
+                        *(_fmt(r[c]) for c in SUMMARY_COLUMNS)])
     return results
 
 

@@ -89,22 +89,20 @@ class SacAgent:
 
     @staticmethod
     def _squash(mean, log_std, eps):
-        std = np.exp(log_std)
-        u = mean + std * eps
-        a = np.tanh(u)
+        a = np.tanh(mean + np.exp(log_std) * eps)
         one_m_t2 = 1.0 - a * a
         log_prob = np.sum(
             -0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * eps ** 2
             - np.log(one_m_t2 + SQUASH_EPS),
             axis=1)
-        return a, u, log_prob
+        return a, log_prob
 
     def sample_action(self, state, eps=None):
         """(action in [-1,1]^dim, log-prob). Pass eps for a fixed draw."""
         mean, log_std, _, _ = self._policy_stats(state)
         if eps is None:
             eps = self.rng.standard_normal(mean.shape)
-        a, _, log_prob = self._squash(mean, log_std, eps)
+        a, log_prob = self._squash(mean, log_std, eps)
         if np.asarray(state).ndim == 1:
             return a[0], float(log_prob[0])
         return a, log_prob
@@ -146,7 +144,7 @@ class SacAgent:
         mean, log_std, log_std_raw, cache = self._policy_stats(s)
         if eps is None:
             eps = self.rng.standard_normal(mean.shape)
-        a, _, log_prob = self._squash(mean, log_std, eps)
+        a, log_prob = self._squash(mean, log_std, eps)
 
         x = np.concatenate([s, a], axis=1)
         q1, c1 = self.critic1.forward(x)

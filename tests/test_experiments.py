@@ -14,8 +14,8 @@ from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
                                    ConfigError, RunError, ScenarioConfig,
                                    build_agent, build_baseline,
                                    episode_columns, episode_returns,
-                                   episode_secrecy, parse_config, run_scenario,
-                                   run_seed, seed_summary, sweep)
+                                   parse_config, run_scenario, run_seed,
+                                   seed_summary, sweep)
 from star_isac.ddpg import DdpgAgent
 from star_isac.rl_core import RlError
 from star_isac.sac import SacAgent
@@ -196,42 +196,63 @@ class TestConfig:
 class TestRunSeed:
     def test_row_count_and_schema(self):
         cfg = tiny_cfg()
-        rows, episode_ms = run_seed(cfg, 0)
-        assert len(rows) == cfg.episodes * cfg.T
+        records, episode_ms = run_seed(cfg, 0)
+        assert records.shape == (cfg.episodes, cfg.T,
+                                 len(episode_columns(cfg.M)) - 4)
+        assert records.dtype == np.float64
         assert len(episode_ms) == cfg.episodes
-        sid = cfg.scenario_id()
-        for row in rows:
-            assert row[0] == sid and row[1] == 0
-            assert len(row) == len(episode_columns(cfg.M))
-            assert all(type(x) is int and x in (0, 1) for x in row[-2:])
-        assert [r[3] for r in rows[:cfg.T]] == list(range(cfg.T))
+        assert set(np.unique(records[:, :, -2:])) <= {0.0, 1.0}
 
     def test_deterministic_across_reruns(self):
         cfg = tiny_cfg()
-        rows1, _ = run_seed(cfg, 0)
-        rows2, _ = run_seed(cfg, 0)
-        assert rows1 == rows2
+        records1, _ = run_seed(cfg, 0)
+        records2, _ = run_seed(cfg, 0)
+        assert np.array_equal(records1, records2)
 
     def test_seeds_differ(self):
         cfg = tiny_cfg()
-        rows1, _ = run_seed(cfg, 0)
-        rows2, _ = run_seed(cfg, 1)
-        assert rows1 != rows2
+        records1, _ = run_seed(cfg, 0)
+        records2, _ = run_seed(cfg, 1)
+        assert not np.array_equal(records1, records2)
 
-    def test_summary_recomputable_from_rows(self):
-        cfg = tiny_cfg(episodes=3)
-        rows, _ = run_seed(cfg, 0)
-        ret = episode_returns(rows)
-        assert ret.size == 3
-        manual = sum(r[4] for r in rows if r[2] == 1)
-        assert ret[1] == pytest.approx(manual, rel=1e-12)
-        sec = episode_secrecy(rows)
-        manual_sec = np.mean([r[5] for r in rows if r[2] == 2])
-        assert sec[2] == pytest.approx(manual_sec, rel=1e-12)
-        s = seed_summary(rows)
-        w = min(FINAL_WINDOW, 3)
-        assert s["final_return"] == pytest.approx(np.mean(ret[-w:]), rel=1e-12)
-        assert s["first_return"] == pytest.approx(np.mean(ret[:w]), rel=1e-12)
+    def test_summary_recomputable_from_rows(self, tmp_path):
+        # every summary figure follows bit for bit from episodes.csv's
+        # 17-digit rows, returns summed step by step and secrecy averaged
+        # per episode. T > 8 sets the step-order sum apart from numpy's
+        # pairwise one, and 5 episodes of 12 steps run past the
+        # 40-transition warm-up.
+        cfg = tiny_cfg(T=12, episodes=5, seeds=(0, 1))
+        summary = run_scenario(cfg, tmp_path)
+        with open(tmp_path / "episodes.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert {r[0] for r in rows} == {cfg.scenario_id()}
+        assert {flag for r in rows for flag in r[-2:]} <= {"0", "1"}
+        for seed in cfg.seeds:
+            steps = [r for r in rows if r[1] == str(seed)]
+            assert [(int(r[2]), int(r[3])) for r in steps] == \
+                [divmod(i, cfg.T) for i in range(cfg.episodes * cfg.T)]
+            records = np.array([[float(x) for x in r[4:]] for r in steps])
+            records = records.reshape(cfg.episodes, cfg.T, -1)
+            returns, secrecy = [], []
+            for episode in records.tolist():
+                total = 0.0
+                for step in episode:
+                    total += step[0]
+                returns.append(total)
+                secrecy.append(np.mean([step[1] for step in episode]))
+            w = min(FINAL_WINDOW, cfg.episodes)
+            assert summary["per_seed"][seed] == seed_summary(records) == {
+                "final_return": float(np.mean(returns[-w:])),
+                "first_return": float(np.mean(returns[:w])),
+                "final_secrecy": float(np.mean(secrecy[-w:])),
+            }
+            # a window mean can round away a last-bit difference of its
+            # episodes, so each episode is also summarised alone
+            assert episode_returns(records).tolist() == returns
+            for e in range(cfg.episodes):
+                assert seed_summary(records[e:e + 1]) == {
+                    "final_return": returns[e], "first_return": returns[e],
+                    "final_secrecy": secrecy[e]}
 
     @pytest.mark.parametrize("algorithm", list(AGENTS))
     @pytest.mark.parametrize("wider", ["state", "action"])

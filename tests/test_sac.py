@@ -37,9 +37,8 @@ class TestSquash:
         mean = np.array([[0.3, -0.7]])
         log_std = np.array([[-1.0, 0.5]])
         eps = np.array([[0.2, -0.1]])
-        a, u, lp = SacAgent._squash(mean, log_std, eps)
+        a, lp = SacAgent._squash(mean, log_std, eps)
         u_expect = mean + np.exp(log_std) * eps
-        assert np.allclose(u, u_expect)
         assert np.allclose(a, np.tanh(u_expect))
         lp_expect = np.sum(
             -0.5 * np.log(2 * np.pi) - log_std - 0.5 * eps ** 2
@@ -55,7 +54,7 @@ class TestSquash:
         grid = np.linspace(-0.999, 0.999, 4001)
         u = np.arctanh(grid)
         eps = (u - mean[0, 0]) / np.exp(log_std[0, 0])
-        _, _, lp = SacAgent._squash(
+        _, lp = SacAgent._squash(
             np.repeat(mean, grid.size, 0), np.repeat(log_std, grid.size, 0),
             eps[:, None])
         dens = np.exp(lp)
@@ -142,7 +141,7 @@ class TestGradients:
         eps = rng.standard_normal((4, 2))
         s = batch["states"]
         mean, log_std, _, _ = agent._policy_stats(s)
-        a, _, lp = agent._squash(mean, log_std, eps)
+        a, lp = agent._squash(mean, log_std, eps)
         x = np.concatenate([s, a], axis=1)
         q_min = np.minimum(agent.critic1(x)[:, 0], agent.critic2(x)[:, 0])
         loss, _, _ = agent.policy_loss_and_grads(batch, eps=eps)

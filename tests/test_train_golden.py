@@ -28,8 +28,8 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from star_isac.experiments import (ScenarioConfig, _trainer,  # noqa: E402
-                                   build_agent, build_baseline)
+from star_isac.experiments import (ScenarioConfig,  # noqa: E402
+                                   episode_columns, run_seed)
 from star_isac.rl_core import WARMUP_BATCHES  # noqa: E402
 
 import goldens  # noqa: E402
@@ -66,15 +66,13 @@ def config(name: str) -> ScenarioConfig:
 
 
 def run(name: str) -> dict:
-    """Per-step outputs of one seeded training run of a named config."""
+    """Per-step outputs of seed 0 (environment seed 1, agent seed 0) of a
+    named config, as run_seed records them."""
     cfg = config(name)
-    env = build_baseline(cfg, seed=1)
-    agent = build_agent(cfg, env, seed=0)
-    out = {k: [] for k in KEYS}
-    for step in _trainer(cfg)(env, agent, cfg.episodes):
-        for k in KEYS:
-            out[k].append(float(getattr(step, k)))
-    return out
+    records, _ = run_seed(cfg, 0)
+    columns = episode_columns(cfg.M)[4:]
+    return {k: records[:, :, columns.index(k)].ravel().tolist()
+            for k in KEYS}
 
 
 @pytest.fixture(scope="module")

@@ -123,8 +123,8 @@ def cached_summary(cfg: ScenarioConfig, seed: int) -> dict:
     key = cache_path(cfg, seed)
     if key.exists():
         return json.loads(key.read_text())
-    rows, _ = run_seed(cfg, seed)
-    summary = seed_summary(rows)
+    records, _ = run_seed(cfg, seed)
+    summary = seed_summary(records)
     key.write_text(json.dumps(summary))
     return summary
 
