@@ -7,33 +7,35 @@ the optimizer.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
                       check_losses, critic_mse, soft_update)
+
+if TYPE_CHECKING:
+    from .experiments import ScenarioConfig
 
 # std of the Gaussian noise added to every action component when acting
 NOISE_STD = 0.1
 
 
 class DdpgAgent:
-    def __init__(self, state_dim: int, action_dim: int, *, hidden=(256, 256),
-                 lr=1e-4, gamma=0.99, soft_rate=5e-4,
-                 buffer_capacity=1_000_000, batch_size=64, seed=0):
+    def __init__(self, cfg: ScenarioConfig, state_dim: int, action_dim: int,
+                 seed: int):
         rng = np.random.default_rng(seed)
         self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.gamma = gamma
-        self.soft_rate = soft_rate
-        self.batch_size = batch_size
+        self.cfg = cfg
 
+        hidden = [cfg.hidden_units] * cfg.hidden_layers
         self.actor = Mlp([state_dim, *hidden, action_dim], "tanh", rng)
         self.critic = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.actor_opt = Adam(self.actor.params, lr=lr)
-        self.critic_opt = Adam(self.critic.params, lr=lr)
-        self.buffer = ReplayBuffer(buffer_capacity, state_dim, action_dim)
+        self.actor_opt = Adam(self.actor.params, lr=cfg.lr)
+        self.critic_opt = Adam(self.critic.params, lr=cfg.lr)
+        self.buffer = ReplayBuffer(cfg.replay_capacity, state_dim, action_dim)
         self.reward_scale = RewardScale()
         self.rng = rng
 
@@ -51,7 +53,7 @@ class DdpgAgent:
         q_next = self.target_critic(
             np.concatenate([batch["next_states"], a_next], axis=1))[:, 0]
         r = self.reward_scale.normalize(batch["rewards"])
-        return r + self.gamma * (1.0 - batch["dones"]) * q_next
+        return r + self.cfg.gamma * (1.0 - batch["dones"]) * q_next
 
     def critic_update(self, batch) -> float:
         loss, grads = critic_mse(self.critic, batch, self.target_value(batch))
@@ -81,8 +83,8 @@ class DdpgAgent:
         return objective
 
     def update_targets(self) -> None:
-        soft_update(self.target_actor, self.actor, self.soft_rate)
-        soft_update(self.target_critic, self.critic, self.soft_rate)
+        soft_update(self.target_actor, self.actor, self.cfg.soft_rate)
+        soft_update(self.target_critic, self.critic, self.cfg.soft_rate)
 
     def observe(self, state, action, reward, next_state, done) -> None:
         self.buffer.add(state, action, reward, next_state, done)
@@ -91,9 +93,9 @@ class DdpgAgent:
     def maybe_update(self) -> None:
         # one critic + one actor update per environment step, after a
         # warm-up of WARMUP_BATCHES batches worth of transitions
-        if len(self.buffer) < WARMUP_BATCHES * self.batch_size:
+        if len(self.buffer) < WARMUP_BATCHES * self.cfg.batch_size:
             return
-        batch = self.buffer.sample(self.batch_size, self.rng)
+        batch = self.buffer.sample(self.cfg.batch_size, self.rng)
         check_losses({"critic loss": self.critic_update(batch),
                       "actor objective": self.actor_update(batch)})
         self.update_targets()

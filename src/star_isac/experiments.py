@@ -168,6 +168,11 @@ class ScenarioConfig:
         return {key: fmt(getattr(self, name))
                 for key, (name, _, fmt) in KEYS.items()}
 
+    @property
+    def replay_capacity(self) -> int:
+        # a run stores episodes*T transitions; more is unused memory
+        return min(self.buffer_capacity, self.episodes * self.T)
+
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -310,14 +315,7 @@ def build_baseline(cfg: ScenarioConfig, seed: int) -> SecureIsacEnv:
 
 
 def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):
-    hidden = tuple([cfg.hidden_units] * cfg.hidden_layers)
-    # a run stores episodes*T transitions and sampling reads only the
-    # count, so a larger buffer changes nothing but the memory it takes
-    capacity = min(cfg.buffer_capacity, cfg.episodes * cfg.T)
-    common = dict(hidden=hidden, lr=cfg.lr, gamma=cfg.gamma,
-                  soft_rate=cfg.soft_rate, buffer_capacity=capacity,
-                  batch_size=cfg.batch_size, seed=seed)
-    return AGENTS[cfg.algorithm][1](env.state_dim, env.action_dim, **common)
+    return AGENTS[cfg.algorithm][1](cfg, env.state_dim, env.action_dim, seed)
 
 
 def _trainer(cfg: ScenarioConfig):

@@ -91,8 +91,7 @@ class Mlp:
     when an objective is differentiated through a critic's action input).
     """
 
-    def __init__(self, sizes, output_activation="linear", rng=None):
-        rng = rng or np.random.default_rng()
+    def __init__(self, sizes, output_activation, rng):
         self.sizes = list(sizes)
         self.activations = ["relu"] * (len(sizes) - 2) + [output_activation]
         self._bind(np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
@@ -191,7 +190,7 @@ class Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]

@@ -22,10 +22,15 @@ per dimension.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
                       check_losses, critic_mse, soft_update)
+
+if TYPE_CHECKING:
+    from .experiments import ScenarioConfig
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -49,29 +54,27 @@ ALPHA_LR = 1e-3
 
 
 class SacAgent:
-    def __init__(self, state_dim: int, action_dim: int, *, hidden=(256, 256),
-                 lr=1e-4, gamma=0.99, soft_rate=5e-4,
-                 buffer_capacity=1_000_000, batch_size=64, seed=0):
+    def __init__(self, cfg: ScenarioConfig, state_dim: int, action_dim: int,
+                 seed: int):
         rng = np.random.default_rng(seed)
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.gamma = gamma
-        self.soft_rate = soft_rate
-        self.batch_size = batch_size
+        self.cfg = cfg
         self.target_entropy = -float(action_dim)
 
+        hidden = [cfg.hidden_units] * cfg.hidden_layers
         self.policy = Mlp([state_dim, *hidden, 2 * action_dim], "linear", rng)
         self.policy.biases[-1][action_dim:] += INIT_LOG_STD
         self.critic1 = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
         self.critic2 = Mlp([state_dim + action_dim, *hidden, 1], "linear", rng)
         self.target_critic1 = self.critic1.copy()
         self.target_critic2 = self.critic2.copy()
-        self.policy_opt = Adam(self.policy.params, lr=lr)
-        self.critic1_opt = Adam(self.critic1.params, lr=lr)
-        self.critic2_opt = Adam(self.critic2.params, lr=lr)
+        self.policy_opt = Adam(self.policy.params, lr=cfg.lr)
+        self.critic1_opt = Adam(self.critic1.params, lr=cfg.lr)
+        self.critic2_opt = Adam(self.critic2.params, lr=cfg.lr)
         self.log_alpha = np.array([np.log(INIT_ALPHA)])
         self.alpha_opt = Adam([self.log_alpha], lr=ALPHA_LR)
-        self.buffer = ReplayBuffer(buffer_capacity, state_dim, action_dim)
+        self.buffer = ReplayBuffer(cfg.replay_capacity, state_dim, action_dim)
         self.reward_scale = RewardScale()
         self.rng = rng
 
@@ -118,7 +121,7 @@ class SacAgent:
         q2 = self.target_critic2(x)[:, 0]
         v = np.minimum(q1, q2) - self.alpha * log_prob
         r = self.reward_scale.normalize(batch["rewards"])
-        return r + self.gamma * (1.0 - batch["dones"]) * v
+        return r + self.cfg.gamma * (1.0 - batch["dones"]) * v
 
     def critic_update(self, batch, eps=None):
         y = self.soft_q_target(batch, eps=eps)
@@ -193,17 +196,17 @@ class SacAgent:
         return loss
 
     def update_targets(self) -> None:
-        soft_update(self.target_critic1, self.critic1, self.soft_rate)
-        soft_update(self.target_critic2, self.critic2, self.soft_rate)
+        soft_update(self.target_critic1, self.critic1, self.cfg.soft_rate)
+        soft_update(self.target_critic2, self.critic2, self.cfg.soft_rate)
 
     def observe(self, state, action, reward, next_state, done) -> None:
         self.buffer.add(state, action, reward, next_state, done)
         self.reward_scale.update(reward)
 
     def maybe_update(self) -> None:
-        if len(self.buffer) < WARMUP_BATCHES * self.batch_size:
+        if len(self.buffer) < WARMUP_BATCHES * self.cfg.batch_size:
             return
-        batch = self.buffer.sample(self.batch_size, self.rng)
+        batch = self.buffer.sample(self.cfg.batch_size, self.rng)
         critic1_loss, critic2_loss = self.critic_update(batch)
         policy_loss, log_prob = self.policy_update(batch)
         check_losses({"critic 1 loss": critic1_loss,

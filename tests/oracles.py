@@ -96,6 +96,16 @@ def random_instance(rng, L=3, N=6, M=2, scale=1.0):
     return inst
 
 
+def kernel_inputs(inst):
+    """The physics kernel's inputs from a random instance: the channels
+    (H, D^*, R^*), receivers stacked as users, Eve, target with unit
+    amplitudes, and the beam matrix [K_s K_w]."""
+    return ((inst["H"],
+             np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
+             np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj()),
+            np.concatenate([inst["K_s"], inst["K_w"]], axis=1))
+
+
 def naive_episode_fading(cfg, T, seed):
     """Per-slot (H, D, R) unit-power fading of one episode of scenario
     ``cfg``, drawn slot by slot: one child stream of the seed per link,

@@ -217,8 +217,8 @@ def test_criterion_05_gradient_correctness():
     }
     worst = 0.0
 
-    dagent = DdpgAgent(4, 3, hidden=(10, 10), buffer_capacity=8,
-                       batch_size=4, seed=1)
+    cfg = ScenarioConfig(hidden_units=10, batch_size=4)
+    dagent = DdpgAgent(cfg, 4, 3, seed=1)
     targets = dagent.target_value(batch)
     _, cgrads = critic_mse(dagent.critic, batch, targets)
     worst = max(worst, _fd_check(
@@ -229,8 +229,7 @@ def test_criterion_05_gradient_correctness():
         dagent.actor, lambda: dagent.actor_objective_and_grads(batch)[0],
         np.concatenate([g.ravel() for g in agrads]), rng))
 
-    sagent = SacAgent(4, 3, hidden=(10, 10), buffer_capacity=8,
-                      batch_size=4, seed=2)
+    sagent = SacAgent(cfg, 4, 3, seed=2)
     eps = rng.standard_normal((6, 3))
     _, pgrads, _ = sagent.policy_loss_and_grads(batch, eps=eps)
     worst = max(worst, _fd_check(

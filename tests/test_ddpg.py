@@ -1,32 +1,22 @@
+import functools
+
 import numpy as np
 import pytest
 
 from star_isac.ddpg import NOISE_STD, DdpgAgent
 from star_isac.rl_core import WARMUP_BATCHES, critic_mse
 
+import learners
+from learners import random_batch
 from oracles import central_differences
 
 
-def tiny_agent(seed=0, **kw):
-    kw.setdefault("hidden", (8, 8))
-    kw.setdefault("buffer_capacity", 256)
-    kw.setdefault("batch_size", 4)
-    return DdpgAgent(state_dim=3, action_dim=2, seed=seed, **kw)
+tiny_agent = functools.partial(learners.tiny_agent, DdpgAgent)
 
 
 def critic_loss(agent, batch):
     """The critic's (loss, grads) against the agent's own targets."""
     return critic_mse(agent.critic, batch, agent.target_value(batch))
-
-
-def random_batch(rng, n=4, state_dim=3, action_dim=2, dones=None):
-    return {
-        "states": rng.standard_normal((n, state_dim)),
-        "actions": rng.uniform(-1, 1, (n, action_dim)),
-        "rewards": rng.standard_normal(n),
-        "next_states": rng.standard_normal((n, state_dim)),
-        "dones": np.zeros(n) if dones is None else np.asarray(dones, float),
-    }
 
 
 class TestActing:
@@ -161,7 +151,7 @@ class TestUpdateMachinery:
 
 
 def test_target_uses_normalized_rewards():
-    agent = DdpgAgent(3, 2, hidden=(8,), seed=0)
+    agent = tiny_agent(hidden_layers=1)
     for k in range(10):
         agent.observe(np.zeros(3), np.zeros(2), 5.0, np.zeros(3), False)
     assert agent.reward_scale.scale == pytest.approx(5.0)

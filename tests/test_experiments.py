@@ -1,5 +1,4 @@
 import csv
-import inspect
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,8 +16,8 @@ from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
                                    parse_config, run_scenario, run_seed,
                                    seed_summary, sweep)
 from star_isac.ddpg import DdpgAgent
-from star_isac.rl_core import RlError
-from star_isac.sac import SacAgent
+from star_isac.rl_core import WARMUP_BATCHES, Adam, Mlp, RlError
+from star_isac.sac import ALPHA_LR, SacAgent
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -121,24 +120,72 @@ class TestConfig:
         agent = build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
         assert agent.buffer.capacity == 9_000
 
-    @pytest.mark.parametrize("algorithm, agent_cls",
-                             [("ddpg", DdpgAgent), ("sac", SacAgent)],
-                             ids=["ddpg", "sac"])
-    def test_every_agent_option_is_set_from_the_config(self, monkeypatch,
-                                                        algorithm, agent_cls):
-        # an agent keyword that build_agent does not pass is a setting no
-        # ScenarioConfig field reaches: make it a constant instead
-        passed = {}
-        monkeypatch.setitem(
-            AGENTS, algorithm,
-            (AGENTS[algorithm][0],
-             lambda state_dim, action_dim, **kw: passed.update(kw)))
-        cfg = tiny_cfg(algorithm=algorithm)
-        build_agent(cfg, build_baseline(cfg, seed=1), seed=0)
-        options = {name for name, p in
-                   inspect.signature(agent_cls).parameters.items()
-                   if p.kind is p.KEYWORD_ONLY}
-        assert set(passed) == options
+    @pytest.mark.parametrize("algorithm", list(AGENTS))
+    def test_each_learner_setting_lands_where_it_is_used(self, algorithm):
+        # every learner setting off its default, each read back where the
+        # agent uses it
+        cfg = tiny_cfg(algorithm=algorithm, episodes=20, lr=3e-4, gamma=0.5,
+                       soft_rate=0.25, batch_size=5, buffer_capacity=50,
+                       hidden_units=7, hidden_layers=3)
+        agent = AGENTS[algorithm][1](cfg, 3, 2, seed=0)
+        parts = vars(agent)
+        rates = {name: opt.lr for name, opt in parts.items()
+                 if isinstance(opt, Adam)}
+        assert rates == {
+            "ddpg": {"actor_opt": 3e-4, "critic_opt": 3e-4},
+            "sac": {"policy_opt": 3e-4, "critic1_opt": 3e-4,
+                    "critic2_opt": 3e-4, "alpha_opt": ALPHA_LR},
+        }[algorithm]
+        nets = {name: net for name, net in parts.items()
+                if isinstance(net, Mlp)}
+        assert all(net.sizes[1:-1] == [7, 7, 7] for net in nets.values())
+        # below the episodes*T = 80 transitions of a run, so not capped
+        assert agent.buffer.capacity == 50
+
+        # gamma: a fresh agent's reward scale is 1
+        batch = {"states": np.ones((2, 3)), "actions": np.zeros((2, 2)),
+                 "rewards": np.array([1.0, -2.0]),
+                 "next_states": np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]]),
+                 "dones": np.zeros(2)}
+        eps = np.array([[0.3, -0.2], [-1.0, 0.7]])
+        s_next = batch["next_states"]
+        if algorithm == "ddpg":
+            x = np.concatenate([s_next, agent.target_actor(s_next)], axis=1)
+            v = agent.target_critic(x)[:, 0]
+            y = agent.target_value(batch)
+        else:
+            a_next, log_prob = agent.sample_action(s_next, eps=eps)
+            x = np.concatenate([s_next, a_next], axis=1)
+            v = (np.minimum(agent.target_critic1(x), agent.target_critic2(x))
+                 [:, 0] - agent.alpha * log_prob)
+            y = agent.soft_q_target(batch, eps=eps)
+        assert np.allclose(y, batch["rewards"] + 0.5 * v, rtol=1e-12)
+
+        # soft rate: each target net moves a quarter of the way
+        targets = {name[len("target_"):]: net for name, net in nets.items()
+                   if name.startswith("target_")}
+        assert len(targets) == 2
+        expect = {}
+        for name, target in targets.items():
+            nets[name].flat += 1.0
+            expect[name] = 0.75 * target.flat + 0.25 * nets[name].flat
+        agent.update_targets()
+        for name, target in targets.items():
+            assert np.allclose(target.flat, expect[name], atol=1e-14)
+
+        # batch size: updates wait for WARMUP_BATCHES batches of 5, then
+        # sample 5
+        sizes = []
+        sample = agent.buffer.sample
+        agent.buffer.sample = lambda n, rng: sizes.append(n) or sample(n, rng)
+        rng = np.random.default_rng(0)
+        for _ in range(WARMUP_BATCHES * 5):
+            agent.maybe_update()
+            agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
+                          rng.normal(), rng.standard_normal(3), False)
+        assert sizes == []
+        agent.maybe_update()
+        assert sizes == [5]
 
     def test_every_numeric_field_is_checked_at_load(self):
         # the channel, physics and env trust the config, so a field
@@ -265,8 +312,8 @@ class TestRunSeed:
         module, agent_cls = AGENTS[algorithm]
         dims = {"state": env.state_dim, "action": env.action_dim}
         dims[wider] += 1
-        agent = agent_cls(dims["state"], dims["action"], hidden=(8,),
-                          buffer_capacity=8, seed=0)
+        agent = agent_cls(tiny_cfg(hidden_layers=1), dims["state"],
+                          dims["action"], seed=0)
         with pytest.raises(error, match=message):
             next(module.train(env, agent, 1))
         assert len(agent.buffer) == 0

@@ -6,27 +6,14 @@ from star_isac.physics import (DegenerateFilterError, PhysicsError,
                                effective_channels, evaluate, optimal_filter,
                                project_power, reward, secrecy_rate, sinrs)
 
-from oracles import (naive_echo_snr, naive_echo_snr_montecarlo,
+from oracles import (kernel_inputs, naive_echo_snr, naive_echo_snr_montecarlo,
                      naive_effective_channel, naive_sinr, random_instance)
-
-
-def make_channel(inst):
-    """(H, D^*, R^*) with receivers stacked as users, Eve, target; unit
-    amplitudes."""
-    return (inst["H"],
-            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
-            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj())
-
-
-def make_K(inst):
-    """The beam matrix [K_s K_w]."""
-    return np.concatenate([inst["K_s"], inst["K_w"]], axis=1)
 
 
 def es_channels(inst):
     """Effective channels of every receiver under the instance's ES
     surfaces (the oracle instances hold them as diagonal matrices)."""
-    H, D_conj, R_conj = make_channel(inst)
+    (H, D_conj, R_conj), _ = kernel_inputs(inst)
     return effective_channels(D_conj, R_conj, H, np.diag(inst["phi_a"]),
                               np.diag(inst["phi_b"]))
 
@@ -53,14 +40,16 @@ class TestSinrEs:
         inst = random_instance(rng)
         inst["K_s"] = np.zeros_like(inst["K_s"])
         inst["K_w"] = np.zeros_like(inst["K_w"])
-        assert np.all(sinrs(es_channels(inst), make_K(inst), 1.0) == 0.0)
+        _, K = kernel_inputs(inst)
+        assert np.all(sinrs(es_channels(inst), K, 1.0) == 0.0)
 
     def test_identical_channels_equal_sinr(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng)
         inst["h_be"] = inst["h_bm"][0].copy()
         inst["h_re"] = inst["h_rm"][0].copy()
-        s = sinrs(es_channels(inst), make_K(inst), 1.0)
+        _, K = kernel_inputs(inst)
+        s = sinrs(es_channels(inst), K, 1.0)
         M = s.shape[1]
         assert s[M, 0] == pytest.approx(s[0, 0], rel=1e-12)
 
@@ -69,7 +58,8 @@ class TestSinrEs:
         inst = random_instance(rng, L=3, M=2)
         inst["h_be"] = np.zeros(3, complex)
         inst["h_re"] = np.zeros(6, complex)
-        assert np.all(sinrs(es_channels(inst), make_K(inst), 1.0)[2] == 0.0)
+        _, K = kernel_inputs(inst)
+        assert np.all(sinrs(es_channels(inst), K, 1.0)[2] == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_naive_oracle(self, seed):
@@ -79,7 +69,8 @@ class TestSinrEs:
         M = int(rng.integers(1, 4))
         inst = random_instance(rng, L=L, N=N, M=M)
         sigma2 = float(rng.uniform(0.1, 2.0))
-        s = sinrs(es_channels(inst), make_K(inst), sigma2)
+        _, K = kernel_inputs(inst)
+        s = sinrs(es_channels(inst), K, sigma2)
         assert s.shape == (M + 2, M)
         for m in range(M):
             hH = naive_effective_channel(
@@ -116,11 +107,10 @@ class TestSecrecyRate:
         # row M+1, and the echo SNR is taken at the closed-form filter
         rng = np.random.default_rng(5)
         inst = random_instance(rng)
-        K = make_K(inst)
+        ch, K = kernel_inputs(inst)
         sensing = SensingParams(tau=1.0, P=2, sigma_s2=0.5, kappa_t=1.0)
         period = (1.0, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))
-        lu, eve, st, echo = evaluate(*make_channel(inst), [period], K, 1.0,
-                                     sensing)
+        lu, eve, st, echo = evaluate(*ch, [period], K, 1.0, sensing)
         r = np.log2(1 + sinrs(es_channels(inst), K, 1.0))
         M = r.shape[1]
         assert np.array_equal(lu, [r[m, m] for m in range(M)])
@@ -152,7 +142,7 @@ class TestEchoSnr:
     def test_filter_scale_invariance(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng)
-        K = make_K(inst)
+        _, K = kernel_inputs(inst)
         g = inst["g_bs"]
         u = rng.standard_normal(3 * 5) + 1j * rng.standard_normal(3 * 5)
         a = echo_snr_lower_bound(g, K, u, self.sensing)
@@ -162,9 +152,9 @@ class TestEchoSnr:
     def test_zero_filter_rejected(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng)
+        _, K = kernel_inputs(inst)
         with pytest.raises(PhysicsError):
-            echo_snr_lower_bound(inst["g_bs"], make_K(inst),
-                                 np.zeros(15), self.sensing)
+            echo_snr_lower_bound(inst["g_bs"], K, np.zeros(15), self.sensing)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_kron_oracle(self, seed):
@@ -195,7 +185,7 @@ class TestOptimalFilter:
         rng = np.random.default_rng(8)
         for _ in range(20):
             inst = random_instance(rng)
-            K = make_K(inst)
+            _, K = kernel_inputs(inst)
             g = target_channel(inst)
             u_star = optimal_filter(g, K)
             best = echo_snr_lower_bound(g, K, u_star, self.sensing)
@@ -211,7 +201,7 @@ class TestOptimalFilter:
         gold = (np.sqrt(5) - 1) / 2
         rng = np.random.default_rng(9)
         inst = random_instance(rng)
-        K = make_K(inst)
+        _, K = kernel_inputs(inst)
         g = target_channel(inst)
         u_star = optimal_filter(g, K)
         best = echo_snr_lower_bound(g, K, u_star, self.sensing)
@@ -243,7 +233,7 @@ class TestOptimalFilter:
         # closed-form lower bound
         rng = np.random.default_rng(300 + seed)
         inst = random_instance(rng, L=2, N=4, M=1)
-        K = make_K(inst)
+        _, K = kernel_inputs(inst)
         g = target_channel(inst)
         u = optimal_filter(g, K)
         sensing = SensingParams(tau=1.0, P=3, sigma_s2=0.5, kappa_t=1.0)

@@ -8,22 +8,10 @@ from star_isac.physics import (SensingParams, echo_snr_lower_bound,
                                rate, secrecy_rate)
 from star_isac.star_ris import ts_periods
 
-from oracles import (naive_effective_channel, naive_sinr, random_instance)
+from oracles import (kernel_inputs, naive_effective_channel, naive_sinr,
+                     random_instance)
 
 SENSING = SensingParams(tau=1.3, P=5, sigma_s2=0.5, kappa_t=1.0)
-
-
-def make_channel(inst):
-    """(H, D^*, R^*) with receivers stacked as users, Eve, target; unit
-    amplitudes."""
-    return (inst["H"],
-            np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
-            np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj())
-
-
-def make_K(inst):
-    """The beam matrix [K_s K_w]."""
-    return np.concatenate([inst["K_s"], inst["K_w"]], axis=1)
 
 
 class TsParams(NamedTuple):
@@ -64,7 +52,7 @@ class TestTsRates:
     def test_pure_reflection_ignores_surface(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg1 = random_ts_cfg(rng, 6, pi_1=1.0)
         cfg2 = random_ts_cfg(rng, 6, pi_1=1.0)
         r1 = ts_rates(ch, cfg1, K, 1.0)
@@ -81,7 +69,7 @@ class TestTsRates:
         # amplitudes and zero phases
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = TsParams(pi_1=0.0, phi_a=np.zeros(6), phi_b=np.zeros(6))
         r_lu, _, _ = ts_rates(ch, cfg, K, 1.0)
         unit = np.ones(6, complex)
@@ -92,7 +80,7 @@ class TestTsRates:
     def test_convex_combination(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         phi_a = rng.uniform(0, 2 * np.pi, 6)
         phi_b = rng.uniform(0, 2 * np.pi, 6)
         r0 = ts_rates(ch, TsParams(0.0, phi_a, phi_b), K, 1.0)
@@ -108,7 +96,7 @@ class TestTsRates:
         N = 2 * int(rng.integers(1, 5))
         M = int(rng.integers(1, 4))
         inst = random_instance(rng, L=L, N=N, M=M)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, N)
         sigma2 = float(rng.uniform(0.5, 2.0))
         got_lu, got_eve, got_st = ts_rates(ch, cfg, K, sigma2)
@@ -153,7 +141,7 @@ class TestSecrecyTs:
         inst["h_re"] = inst["h_rm"][0].copy()
         inst["g_bs"] = inst["h_bm"][0].copy()
         inst["g_rs"] = inst["h_rm"][0].copy()
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         phases = np.zeros(6)
         cfg = TsParams(0.4, phases, phases)
         lu, eve, st = ts_rates(ch, cfg, K, 1.0)
@@ -162,7 +150,7 @@ class TestSecrecyTs:
     def test_hinge_combination(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, 6)
         r_lu, r_eve, r_st = (r[0] for r in ts_rates(ch, cfg, K, 1.0))
         assert secrecy_rate(r_lu, r_eve, r_st) == pytest.approx(
@@ -172,7 +160,7 @@ class TestSecrecyTs:
         rng = np.random.default_rng(5)
         for _ in range(100):
             inst = random_instance(rng)
-            ch, K = make_channel(inst), make_K(inst)
+            ch, K = kernel_inputs(inst)
             cfg = random_ts_cfg(rng, 6)
             lu, eve, st = ts_rates(ch, cfg, K, 1.0)
             assert secrecy_rate(lu[0], eve[0], st[0]) >= 0.0
@@ -184,7 +172,7 @@ class TestEchoSnrTs:
     def test_pure_reflection_single_term(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, 6, pi_1=1.0)
         got = ts_echo(ch, cfg, K, self.sensing)
         g = inst["g_bs"]
@@ -195,7 +183,7 @@ class TestEchoSnrTs:
     def test_scale_invariance_both_filters(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, 6)
         n = 3 * 5
         for g, scale in zip(sensing_channels(ch, cfg), (3.0, 0.5)):
@@ -209,7 +197,7 @@ class TestEchoSnrTs:
         # each at its own closed-form filter
         rng = np.random.default_rng(8)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, 6)
         g1 = inst["g_bs"]
         g2 = naive_effective_channel(inst["g_bs"], inst["g_rs"],
@@ -226,7 +214,7 @@ class TestEchoSnrTs:
         rng = np.random.default_rng(9)
         for _ in range(10):
             inst = random_instance(rng)
-            ch, K = make_channel(inst), make_K(inst)
+            ch, K = kernel_inputs(inst)
             cfg = random_ts_cfg(rng, 6)
             best = ts_echo(ch, cfg, K, self.sensing)
             g1, g2 = sensing_channels(ch, cfg)
@@ -241,7 +229,7 @@ class TestEchoSnrTs:
     def test_each_filter_maximizes_its_term(self):
         rng = np.random.default_rng(10)
         inst = random_instance(rng)
-        ch, K = make_channel(inst), make_K(inst)
+        ch, K = kernel_inputs(inst)
         cfg = random_ts_cfg(rng, 6)
         g1, g2 = sensing_channels(ch, cfg)
         u1, u2 = optimal_filter(g1, K), optimal_filter(g2, K)

@@ -13,7 +13,7 @@ from oracles import central_differences
 
 class TestMlp:
     def test_shapes_and_init_bounds(self):
-        net = Mlp([3, 7, 2], rng=np.random.default_rng(0))
+        net = Mlp([3, 7, 2], "linear", np.random.default_rng(0))
         y = net(np.zeros((5, 3)))
         assert y.shape == (5, 2)
         for w, fan_in in zip(net.weights, [3, 7]):
@@ -21,7 +21,7 @@ class TestMlp:
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
-        net = Mlp([4, 6, 6, 3], output_activation="tanh", rng=rng)
+        net = Mlp([4, 6, 6, 3], "tanh", rng)
         x = rng.standard_normal((8, 4))
         y = net(x)
         for i in range(8):
@@ -29,14 +29,14 @@ class TestMlp:
 
     def test_tanh_output_bounded(self):
         rng = np.random.default_rng(2)
-        net = Mlp([4, 16, 5], output_activation="tanh", rng=rng)
+        net = Mlp([4, 16, 5], "tanh", rng)
         y = net(10 * rng.standard_normal((100, 4)))
         assert np.all(np.abs(y) < 1.0)
 
     @pytest.mark.parametrize("out_act", ["linear", "tanh"])
     def test_param_gradients_match_finite_differences(self, out_act):
         rng = np.random.default_rng(3)
-        net = Mlp([3, 5, 4, 2], output_activation=out_act, rng=rng)
+        net = Mlp([3, 5, 4, 2], out_act, rng)
         x = rng.standard_normal((6, 3))
         w = rng.standard_normal((6, 2))  # fixed loss weights
 
@@ -54,7 +54,7 @@ class TestMlp:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        net = Mlp([3, 8, 1], rng=rng)
+        net = Mlp([3, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 3))
         _, cache = net.forward(x)
         grads, dx = net.through().backward(cache, np.ones((1, 1)))
@@ -68,13 +68,13 @@ class TestMlp:
             assert dx[0, j] == pytest.approx(num, abs=1e-6, rel=1e-5)
 
     def test_copy_is_independent(self):
-        net = Mlp([2, 3, 1], rng=np.random.default_rng(7))
+        net = Mlp([2, 3, 1], "linear", np.random.default_rng(7))
         dup = net.copy()
         dup.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != dup.weights[0][0, 0]
 
     def test_weights_and_biases_are_views_of_flat(self):
-        net = Mlp([3, 4, 2], rng=np.random.default_rng(13))
+        net = Mlp([3, 4, 2], "linear", np.random.default_rng(13))
         layout = np.concatenate([p.ravel() for wb in zip(net.weights,
                                                          net.biases)
                                  for p in wb])
@@ -88,7 +88,7 @@ class TestMlp:
 
     def test_copy_shares_no_memory(self):
         rng = np.random.default_rng(14)
-        net = Mlp([3, 4, 2], rng=rng)
+        net = Mlp([3, 4, 2], "linear", rng)
         net.backward(net.forward(rng.standard_normal((2, 3)))[1],
                      np.ones((2, 2)))
         dup = net.copy()
@@ -100,7 +100,7 @@ class TestMlp:
     def test_net_and_view_freed_without_garbage_collector(self):
         # a reference cycle would keep the shared parameter vector alive
         # until the next full collection
-        net = Mlp([3, 4, 2], rng=np.random.default_rng(16))
+        net = Mlp([3, 4, 2], "linear", np.random.default_rng(16))
         refs = [weakref.ref(net), weakref.ref(net.through())]
         gc.disable()
         try:
@@ -111,7 +111,7 @@ class TestMlp:
 
     def test_through_shares_parameters_not_gradients(self):
         rng = np.random.default_rng(15)
-        net = Mlp([3, 4, 2], rng=rng)
+        net = Mlp([3, 4, 2], "linear", rng)
         view = net.through()
         assert view is net.through() and view.through() is view
         assert view.flat is net.flat
@@ -128,11 +128,11 @@ class TestMlp:
         assert np.array_equal(net.grad, before)
 
     def test_untrained_net_has_no_gradient_buffer(self):
-        net = Mlp([3, 4, 2], rng=np.random.default_rng(16))
+        net = Mlp([3, 4, 2], "linear", np.random.default_rng(16))
         assert net.grad is None and net.copy().grad is None
 
     def test_width_mismatch_rejected(self):
-        net = Mlp([3, 2], rng=np.random.default_rng(8))
+        net = Mlp([3, 2], "linear", np.random.default_rng(8))
         with pytest.raises(RlError):
             net(np.zeros((1, 4)))
 
@@ -200,8 +200,8 @@ class TestAdam:
 class TestSoftUpdate:
     def test_convex_blend(self):
         rng = np.random.default_rng(10)
-        online = Mlp([2, 3, 1], rng=rng)
-        target = Mlp([2, 3, 1], rng=rng)
+        online = Mlp([2, 3, 1], "linear", rng)
+        target = Mlp([2, 3, 1], "linear", rng)
         t0 = target.flat.copy()
         soft_update(target, online, 0.25)
         expect = 0.75 * t0 + 0.25 * online.flat
@@ -209,16 +209,16 @@ class TestSoftUpdate:
 
     def test_eps_one_copies(self):
         rng = np.random.default_rng(11)
-        online = Mlp([2, 3, 1], rng=rng)
-        target = Mlp([2, 3, 1], rng=rng)
+        online = Mlp([2, 3, 1], "linear", rng)
+        target = Mlp([2, 3, 1], "linear", rng)
         soft_update(target, online, 1.0)
         assert np.array_equal(target.flat, online.flat)
 
     def test_chunked_blend_matches_per_array_formula_bitwise(self):
         rng = np.random.default_rng(18)
         sizes = [CHUNK + 5, 2, 1]  # flat length 2*CHUNK + 15
-        online = Mlp(sizes, rng=rng)
-        target = Mlp(sizes, rng=rng)
+        online = Mlp(sizes, "linear", rng)
+        target = Mlp(sizes, "linear", rng)
         ref = [p.copy() for p in target.weights + target.biases]
         for _ in range(3):
             online.flat[...] = rng.standard_normal(online.flat.size)

@@ -1,27 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 
+from star_isac.experiments import ScenarioConfig
 from star_isac.rl_core import WARMUP_BATCHES, critic_mse
 from star_isac.sac import LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, SacAgent
 
+import learners
+from learners import random_batch
 from oracles import central_differences
 
 
-def tiny_agent(seed=0, **kw):
-    kw.setdefault("hidden", (8, 8))
-    kw.setdefault("buffer_capacity", 256)
-    kw.setdefault("batch_size", 4)
-    return SacAgent(state_dim=3, action_dim=2, seed=seed, **kw)
-
-
-def random_batch(rng, n=4, state_dim=3, action_dim=2, dones=None):
-    return {
-        "states": rng.standard_normal((n, state_dim)),
-        "actions": rng.uniform(-1, 1, (n, action_dim)),
-        "rewards": rng.standard_normal(n),
-        "next_states": rng.standard_normal((n, state_dim)),
-        "dones": np.zeros(n) if dones is None else np.asarray(dones, float),
-    }
+tiny_agent = functools.partial(learners.tiny_agent, SacAgent)
 
 
 class TestSquash:
@@ -216,7 +207,7 @@ class TestTemperatureTracksNoise:
     def test_wide_noise_lowers_alpha_despite_saturation(self):
         agent = self._wide_noise_agent([6.0, 0.0])
         rng = np.random.default_rng(21)
-        for _ in range(WARMUP_BATCHES * agent.batch_size):
+        for _ in range(WARMUP_BATCHES * agent.cfg.batch_size):
             agent.observe(rng.standard_normal(3), rng.uniform(-1, 1, 2),
                           float(rng.standard_normal()),
                           rng.standard_normal(3), False)
@@ -256,7 +247,7 @@ class TestMachinery:
 
 
 def test_soft_target_uses_normalized_rewards():
-    agent = SacAgent(3, 2, hidden=(8,), seed=0)
+    agent = tiny_agent(hidden_layers=1)
     for k in range(10):
         agent.observe(np.zeros(3), np.zeros(2), 4.0, np.zeros(3), False)
     assert agent.reward_scale.scale == pytest.approx(4.0)
@@ -271,7 +262,7 @@ def test_soft_target_uses_normalized_rewards():
 
 
 def test_initial_policy_std_is_moderate():
-    agent = SacAgent(5, 7, seed=0)
+    agent = SacAgent(ScenarioConfig(), 5, 7, seed=0)
     _, log_std, _, _ = agent._policy_stats(np.zeros(5))
     # head bias shifted by INIT_LOG_STD, weights add only small jitter
     assert np.all(log_std < -1.0)

@@ -27,7 +27,10 @@ the first couple of episodes after warm-up, and its values are rounded
 to PROBE_DIGITS significant digits before hashing, so that last-bit
 differences between BLAS kernels or thread counts leave the key alone.
 A change that shows only later in training, or only in the last bits,
-keeps the key. The committed entries are such a case: they were trained
+keeps the key. So does a change to how the reward reads kappa in slots
+that meet the echo-SNR constraint, for the kappa = 8 and 12 dB entries:
+no slot of their probes meets it, so the two probes are bit-identical
+and share a digest (CHANGES.md, FOUND line 43). The committed entries are such a case: they were trained
 at eacaaf8, and the last-bit moves of 2ffc067 and 26a39c5 kept every
 digest, but 300 episodes amplify them, so a retrain at the current code
 does not reproduce them (ROADMAP, the refill item). Files whose key no
