@@ -54,8 +54,9 @@ def path_loss_los(d: float, f1: float) -> float:
     return 20.0 * np.log10(f1) + 22.0 * np.log10(d) + 28.0
 
 
-def path_loss_nlos(d: float, f1: float, z_r: float = 1.5) -> float:
-    """NLoS loss in dB, floored at the LoS loss."""
+def path_loss_nlos(d: float, f1: float, z_r: float) -> float:
+    """NLoS loss in dB for a receiver at height z_r meters, floored at
+    the LoS loss."""
     nlos = 26.0 * np.log10(f1) + 36.7 * np.log10(d) + 22.7 - 0.3 * (z_r - 1.5)
     return max(nlos, path_loss_los(d, f1))
 
@@ -148,7 +149,7 @@ def link_constants(cfg: ScenarioConfig) -> LinkConstants:
 
 
 def generate_episode_channels(links: LinkConstants, T: int,
-                              seed) -> EpisodeChannels:
+                              seed: np.random.SeedSequence) -> EpisodeChannels:
     """An independent channel draw per slot, for all T slots at once,
     of the links whose constants are ``links``.
 
@@ -160,10 +161,8 @@ def generate_episode_channels(links: LinkConstants, T: int,
     N, L = links.los.shape
     M = len(links.D_amp) - 2
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    streams = {name: np.random.default_rng(child)
-               for name, child in zip(_LINK_ORDER, ss.spawn(len(_LINK_ORDER)))}
+    streams = {name: np.random.default_rng(child) for name, child
+               in zip(_LINK_ORDER, seed.spawn(len(_LINK_ORDER)))}
 
     def receivers(n, users, eve, target):
         """T x (M+2) x n links of the users, Eve and the target."""

@@ -494,14 +494,3 @@ def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
                         *(_fmt(r[c]) for c in SUMMARY_COLUMNS)])
     return results
 
-
-def _full_update_episode(cfg: ScenarioConfig) -> int:
-    """First episode of cfg in which every step runs a gradient update."""
-    return -(-(WARMUP_BATCHES * cfg.batch_size - 1) // cfg.T)
-
-
-def measure_runtime(cfg: ScenarioConfig) -> float:
-    """Mean wall-clock ms per episode of the first seed's cfg.episodes,
-    from the first episode in which every step runs a gradient update."""
-    _, episode_ms = run_seed(cfg, cfg.seeds[0])
-    return float(np.mean(episode_ms[_full_update_episode(cfg):]))

@@ -200,7 +200,6 @@ def reward(echo_snr: float, lu_rates: np.ndarray, sum_secrecy: float,
     sensing is satisfied it rewards meeting every per-user rate floor
     and then the sum secrecy rate on top.
     """
-    lu_rates = np.asarray(lu_rates, float)
     return _shaped_reward(echo_snr, lu_rates, sum_secrecy, R_0, kappa_t,
                           bool(np.all(lu_rates >= R_0)))
 

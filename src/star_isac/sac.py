@@ -100,22 +100,22 @@ class SacAgent:
             axis=1)
         return a, log_prob
 
-    def sample_action(self, state, eps=None):
-        """(action in [-1,1]^dim, log-prob). Pass eps for a fixed draw."""
+    def sample_action(self, state) -> np.ndarray:
+        """The action in (-1, 1)^dim for one state, from one noise draw."""
         mean, log_std, _, _ = self._policy_stats(state)
-        if eps is None:
-            eps = self.rng.standard_normal(mean.shape)
-        a, log_prob = self._squash(mean, log_std, eps)
-        if np.asarray(state).ndim == 1:
-            return a[0], float(log_prob[0])
-        return a, log_prob
+        eps = self.rng.standard_normal(mean.shape)
+        a, _ = self._squash(mean, log_std, eps)
+        return a[0]
 
     # ---- targets and critics ---------------------------------------------
     def soft_q_target(self, batch, eps=None) -> np.ndarray:
         """r + gamma*(min(Q1bar,Q2bar)(s',a') - alpha*logpi(a'|s')) with a'
         freshly sampled; terminal transitions bootstrap nothing."""
         s_next = batch["next_states"]
-        a_next, log_prob = self.sample_action(s_next, eps=eps)
+        mean, log_std, _, _ = self._policy_stats(s_next)
+        if eps is None:
+            eps = self.rng.standard_normal(mean.shape)
+        a_next, log_prob = self._squash(mean, log_std, eps)
         x = np.concatenate([s_next, a_next], axis=1)
         q1 = self.target_critic1(x)[:, 0]
         q2 = self.target_critic2(x)[:, 0]
@@ -222,7 +222,7 @@ def train(env, agent: SacAgent, episodes: int):
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):
-            action, _ = agent.sample_action(state)
+            action = agent.sample_action(state)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
             agent.maybe_update()

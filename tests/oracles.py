@@ -108,16 +108,14 @@ def kernel_inputs(inst):
 
 def naive_episode_fading(cfg, T, seed):
     """Per-slot (H, D, R) unit-power fading of one episode of scenario
-    ``cfg``, drawn slot by slot: one child stream of the seed per link,
-    in the order BS-RIS, BS-users, RIS-users, BS-Eve, RIS-Eve, BS-target,
-    RIS-target; within a stream, per slot and per receiver, the real
-    parts and then the imaginary parts. D and R stack the users, Eve and
-    the target."""
+    ``cfg``, drawn slot by slot: one child stream of the SeedSequence
+    ``seed`` per link, in the order BS-RIS, BS-users, RIS-users, BS-Eve,
+    RIS-Eve, BS-target, RIS-target; within a stream, per slot and per
+    receiver, the real parts and then the imaginary parts. D and R stack
+    the users, Eve and the target."""
     L, N, M = cfg.L, cfg.N, cfg.M
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
     bs_ris, bs_lu, ris_lu, bs_eve, ris_eve, bs_st, ris_st = (
-        np.random.default_rng(child) for child in ss.spawn(7))
+        np.random.default_rng(child) for child in seed.spawn(7))
 
     def cn(shape, rng):
         return (rng.standard_normal(shape) +

@@ -14,15 +14,14 @@ import pytest
 
 from star_isac import physics
 from star_isac.ddpg import DdpgAgent
-from star_isac.experiments import (ScenarioConfig, measure_runtime,
-                                   run_scenario)
+from star_isac.experiments import ScenarioConfig, run_scenario, run_seed
 from star_isac.physics import SensingParams
 from star_isac.rl_core import critic_mse
 from star_isac.sac import SacAgent
 from star_isac.star_ris import decode, es_power_split, ts_periods
 
 import train_cache
-from oracles import (central_differences, naive_echo_snr,
+from oracles import (central_differences, kernel_inputs, naive_echo_snr,
                      naive_echo_snr_montecarlo, naive_effective_channel,
                      naive_sinr, random_instance)
 
@@ -38,11 +37,7 @@ def _instance(rng):
     N = int(rng.integers(2, 9))
     M = int(rng.integers(1, 4))
     inst = random_instance(rng, L=L, N=N, M=M)
-    ch = (inst["H"],
-          np.array([*inst["h_bm"], inst["h_be"], inst["g_bs"]]).conj(),
-          np.array([*inst["h_rm"], inst["h_re"], inst["g_rs"]]).conj())
-    K = np.concatenate([inst["K_s"], inst["K_w"]], axis=1)
-    return inst, ch, K, L, N, M
+    return inst, *kernel_inputs(inst), L, N, M
 
 
 def _channels(ch, phi_a, phi_b):
@@ -347,9 +342,16 @@ def test_criterion_10_monotone_trends():
             f"vs kappa {fmt(k_curve)}")
 
 
+def _runtime_ms(cfg):
+    """Mean wall-clock ms per episode of cfg's first seed, from the first
+    episode in which every step runs a gradient update."""
+    _, episode_ms = run_seed(cfg, cfg.seeds[0])
+    return float(np.mean(episode_ms[train_cache.full_update_episode(cfg):]))
+
+
 def test_criterion_11_runtime_ordering():
-    ddpg_ms = measure_runtime(ScenarioConfig(algorithm="ddpg", episodes=32))
-    sac_ms = measure_runtime(ScenarioConfig(algorithm="sac", episodes=32))
+    ddpg_ms = _runtime_ms(ScenarioConfig(algorithm="ddpg", episodes=32))
+    sac_ms = _runtime_ms(ScenarioConfig(algorithm="sac", episodes=32))
     _report(11, "runtime ordering (SAC slower)", sac_ms > ddpg_ms,
             f"SAC {sac_ms:.0f} ms/episode vs DDPG {ddpg_ms:.0f} ms/episode")
 

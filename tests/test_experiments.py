@@ -154,7 +154,8 @@ class TestConfig:
             v = agent.target_critic(x)[:, 0]
             y = agent.target_value(batch)
         else:
-            a_next, log_prob = agent.sample_action(s_next, eps=eps)
+            mean, log_std, _, _ = agent._policy_stats(s_next)
+            a_next, log_prob = agent._squash(mean, log_std, eps)
             x = np.concatenate([s_next, a_next], axis=1)
             v = (np.minimum(agent.target_critic1(x), agent.target_critic2(x))
                  [:, 0] - agent.alpha * log_prob)
@@ -563,9 +564,9 @@ class TestCli:
         sample = SacAgent.sample_action
 
         def nan_action(agent, state):
-            action, log_prob = sample(agent, state)
+            action = sample(agent, state)
             action[3] = np.nan
-            return action, log_prob
+            return action
 
         monkeypatch.setattr(SacAgent, "sample_action", nan_action)
         rc = cli_main(["run", "--config", self.write_cfg(tmp_path),

@@ -20,7 +20,6 @@ ALLOWED = {
     "physics.echo_snr_lower_bound":
         "the paper's echo SNR bound, which tests hold evaluate's closed "
         "form to",
-    "experiments.measure_runtime": "acceptance criterion 11's timer",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -1,3 +1,4 @@
+import copy
 import functools
 
 import numpy as np
@@ -20,9 +21,12 @@ class TestSquash:
         agent = tiny_agent()
         rng = np.random.default_rng(0)
         for _ in range(100):
-            a, lp = agent.sample_action(rng.standard_normal(3))
+            states = rng.standard_normal((4, 3))
+            mean, log_std, _, _ = agent._policy_stats(states)
+            a, lp = agent._squash(mean, log_std, rng.standard_normal((4, 2)))
+            assert a.shape == (4, 2) and lp.shape == (4,)
             assert np.all(np.abs(a) < 1.0)
-            assert np.isfinite(lp)
+            assert np.all(np.isfinite(lp))
 
     def test_fixed_eps_hand_values(self):
         mean = np.array([[0.3, -0.7]])
@@ -65,7 +69,8 @@ class TestSoftQTarget:
         agent = tiny_agent(seed=4, gamma=0.9)
         batch = random_batch(np.random.default_rng(4), n=2)
         eps = np.random.default_rng(5).standard_normal((2, 2))
-        a_next, lp = agent.sample_action(batch["next_states"], eps=eps)
+        mean, log_std, _, _ = agent._policy_stats(batch["next_states"])
+        a_next, lp = agent._squash(mean, log_std, eps)
         x = np.concatenate([batch["next_states"], a_next], axis=1)
         q1 = agent.target_critic1(x)[:, 0]
         q2 = agent.target_critic2(x)[:, 0]
@@ -238,12 +243,30 @@ class TestMachinery:
         def run():
             agent = tiny_agent(seed=18, batch_size=4)
             for s in states:
-                a, _ = agent.sample_action(s)
+                a = agent.sample_action(s)
                 agent.observe(s, a, float(s.sum()), s, False)
                 agent.maybe_update()
             return agent.policy.flat
 
         assert np.array_equal(run(), run())
+
+
+def test_sample_action_acts_on_one_state_with_one_draw():
+    # the acting contract training relies on: one state in, its action
+    # out, squashed from exactly one (1, action_dim) draw of agent.rng,
+    # so the generator stays in step with the updates' batch draws
+    agent = tiny_agent(seed=19)
+    states = np.random.default_rng(20).standard_normal((20, 3))
+    for state in states:
+        twin = copy.deepcopy(agent.rng)
+        a = agent.sample_action(state)
+        assert a.shape == (2,)
+        assert np.all(np.abs(a) < 1.0)
+        mean, log_std, _, _ = agent._policy_stats(state)
+        expect, _ = SacAgent._squash(mean, log_std,
+                                     twin.standard_normal((1, 2)))
+        assert np.array_equal(a, expect[0])
+        assert agent.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_soft_target_uses_normalized_rewards():

@@ -165,6 +165,30 @@ def test_every_surface_decodes_feasibly(surface, n, data):
             assert np.all((mods == 0.0) | (np.abs(mods - 1.0) <= 1e-12))
 
 
+@pytest.mark.parametrize("surface", [
+    pytest.param(key, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: in its second period the TS "
+        "surface transmits and reflects at full amplitude at once, "
+        "|Phi_A|^2 + |Phi_B|^2 = 2"))
+    if key == ("star", "ts") else key for key in sorted(SURFACES)],
+    ids="-".join)
+def test_every_surface_is_passive(surface):
+    # a passive element splits at most the power it receives between its
+    # two faces, in every period
+    _, a, b = SURFACES[surface]
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(500):
+        raw = rng.uniform(-1.0, 1.0, a * int(rng.integers(1, 13)) + b)
+        periods = decode(*surface, raw)
+        weights = np.array([w for w, _, _ in periods])
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        for _, phi_a, phi_b in periods:
+            worst = max(worst, float(np.max(np.abs(phi_a) ** 2
+                                            + np.abs(phi_b) ** 2)))
+    assert worst <= 1.0 + 1e-12, f"max |Phi_A|^2 + |Phi_B|^2 = {worst}"
+
+
 def test_wrap_pi_range():
     x = np.linspace(-10, 10, 2001)
     w = _wrap_pi_inplace(x.copy())

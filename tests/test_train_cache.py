@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from star_isac import env, physics, sac, star_ris
-from star_isac.experiments import _full_update_episode
 
 import train_cache
 
@@ -25,7 +24,8 @@ def test_probe_runs_an_episode_of_full_updates():
     # a longer replay warm-up must not leave the probes, and so the keys,
     # blind to the updates
     for cfg in train_cache.acceptance_configs():
-        assert train_cache.PROBE_EPISODES > _full_update_episode(cfg)
+        assert (train_cache.PROBE_EPISODES
+                > train_cache.full_update_episode(cfg))
 
 
 def test_digest_ignores_last_bits_but_not_real_changes():

@@ -57,7 +57,7 @@ import numpy as np  # noqa: E402
 from star_isac.experiments import (ScenarioConfig, _trainer,  # noqa: E402
                                    build_agent, build_baseline, run_seed,
                                    seed_summary)
-from star_isac.rl_core import Adam, Mlp  # noqa: E402
+from star_isac.rl_core import WARMUP_BATCHES, Adam, Mlp  # noqa: E402
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 
@@ -67,6 +67,11 @@ SWEEP_KAPPA = (4.0, 8.0, 12.0)
 
 PROBE_EPISODES = 23   # warm-up ends at transition 640, in episode 21
 PROBE_DIGITS = 6
+
+
+def full_update_episode(cfg: ScenarioConfig) -> int:
+    """First episode of cfg in which every step runs a gradient update."""
+    return -(-(WARMUP_BATCHES * cfg.batch_size - 1) // cfg.T)
 
 
 def default_ddpg() -> ScenarioConfig:
