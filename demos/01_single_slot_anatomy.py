@@ -13,7 +13,8 @@ env = build_baseline(cfg, seed=1)
 env.reset()
 
 print(f"scenario: L={cfg.L} antennas, N={cfg.N} elements, M={cfg.M} users")
-print(f"action dim {env.action_dim} (beamformer {env._beam_len} reals "
+print(f"action dim {env.action_dim} "
+      f"(beamformer {env.action_dim - env.ris_action_dim} reals "
       f"+ surface {env.ris_action_dim}), state dim {env.state_dim}")
 
 rng = np.random.default_rng(0)

@@ -66,22 +66,23 @@ def loss_db_to_amplitude(loss_db: float) -> float:
     return np.sqrt(10.0 ** (-loss_db / 10.0))
 
 
-def steering_bs(L: int, beta_b: float, d_0: float, lam: float) -> np.ndarray:
-    """ULA steering vector at the BS, first entry 1+0j."""
+def steering_bs(L: int, beta_b: float, lam: float) -> np.ndarray:
+    """Half-wavelength ULA steering vector at the BS, first entry 1+0j."""
     l = np.arange(L)
-    return np.exp(1j * 2.0 * np.pi * l * d_0 * np.sin(beta_b) / lam)
+    return np.exp(1j * 2.0 * np.pi * l * (lam / 2.0) * np.sin(beta_b) / lam)
 
 
-def steering_ris(N: int, beta_r: float, zeta_r: float, d_r: float,
-                 lam: float, n_x: int) -> np.ndarray:
-    """UPA steering vector at the RIS with row-major planar indexing, n_x
-    elements per row."""
+def steering_ris(N: int, beta_r: float, zeta_r: float, lam: float,
+                 n_x: int) -> np.ndarray:
+    """Half-wavelength UPA steering vector at the RIS with row-major
+    planar indexing, n_x elements per row."""
     n = np.arange(N)
     row = n // n_x
     col = n % n_x
     eta1 = np.sin(beta_r) * np.sin(zeta_r)
     eta2 = np.sin(beta_r) * np.cos(zeta_r)
-    return np.exp(1j * 2.0 * np.pi * d_r * (row * eta1 + col * eta2) / lam)
+    return np.exp(1j * 2.0 * np.pi * (lam / 2.0) * (row * eta1 + col * eta2)
+                  / lam)
 
 
 def _cn_samples(lead: tuple, block: tuple,
@@ -127,15 +128,15 @@ class LinkConstants:
 def link_constants(cfg: ScenarioConfig) -> LinkConstants:
     """The ``LinkConstants`` of a scenario. BS->RIS uses the LoS formula
     (elevated RIS); every other link is NLoS with the receiver's own
-    height. Both arrays space their elements half a wavelength apart."""
+    height."""
     bs, ris = np.asarray(cfg.bs, float), np.asarray(cfg.ris, float)
     receivers = [np.asarray(p, float) for p in (*cfg.lus, cfg.eve, cfg.st)]
     f1 = cfg.freq_ghz
     F = cfg.rician_linear
     lam = C_LIGHT / (f1 * 1e9)
     beta_b, beta_r, zeta_r = geometry_angles(bs, ris)
-    f_r = steering_ris(cfg.N, beta_r, zeta_r, lam / 2.0, lam, cfg.n_x)
-    f_b = steering_bs(cfg.L, beta_b, lam / 2.0, lam)
+    f_r = steering_ris(cfg.N, beta_r, zeta_r, lam, cfg.n_x)
+    f_b = steering_bs(cfg.L, beta_b, lam)
 
     def nlos_column(source):
         return np.array([[loss_db_to_amplitude(path_loss_nlos(

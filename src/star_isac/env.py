@@ -76,12 +76,8 @@ class SecureIsacEnv:
         self._beam_scale = np.repeat(
             [np.sqrt(0.8 * p_max / (L * M)),
              np.sqrt(0.2 * p_max / (L * L))], [M, L])
+        # the episode's state, set by reset
         self.channels = None
-        self._features = None
-        self._D_conj = self._R_conj = None
-        self.t = 0
-        self._prev_action = np.zeros(self.action_dim)
-        self._prev_reward = 0.0
 
     # ---- dimensions -----------------------------------------------------
     @property

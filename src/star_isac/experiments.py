@@ -318,11 +318,6 @@ def build_agent(cfg: ScenarioConfig, env: SecureIsacEnv, seed: int):
     return AGENTS[cfg.algorithm][1](cfg, env.state_dim, env.action_dim, seed)
 
 
-def _trainer(cfg: ScenarioConfig):
-    # looked up on the module at each call, so a rebound ``train`` is used
-    return AGENTS[cfg.algorithm][0].train
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 
@@ -349,12 +344,14 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     from reward on, the feasibility flags as 0.0 or 1.0."""
     env = build_baseline(cfg, seed=2 * seed + 1)
     agent = build_agent(cfg, env, seed=2 * seed)
+    # looked up on the module at each call, so a rebound ``train`` runs
+    train = AGENTS[cfg.algorithm][0].train
     rows = []
     episode_ms = []
     t0 = time.perf_counter()
     value_columns = episode_columns(cfg.M)[4:-2]
     try:
-        for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
+        for i, out in enumerate(train(env, agent, cfg.episodes)):
             episode, step = divmod(i, cfg.T)
             if step == 0 and episode:
                 now = time.perf_counter()

@@ -83,13 +83,6 @@ class SacAgent:
         return float(np.exp(self.log_alpha[0]))
 
     # ---- policy ---------------------------------------------------------
-    def _policy_stats(self, states):
-        out, cache = self.policy.forward(states)
-        mean = out[:, :self.action_dim]
-        log_std_raw = out[:, self.action_dim:]
-        log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-        return mean, log_std, log_std_raw, cache
-
     @staticmethod
     def _squash(mean, log_std, eps):
         a = np.tanh(mean + np.exp(log_std) * eps)
@@ -100,22 +93,28 @@ class SacAgent:
             axis=1)
         return a, log_prob
 
+    def _sample(self, states, eps=None):
+        """One reparameterized, squashed draw per state: (a, log_prob, eps,
+        log_std, log_std_raw, policy cache), eps drawn unless given."""
+        out, cache = self.policy.forward(states)
+        mean = out[:, :self.action_dim]
+        log_std_raw = out[:, self.action_dim:]
+        log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
+        if eps is None:
+            eps = self.rng.standard_normal(mean.shape)
+        a, log_prob = self._squash(mean, log_std, eps)
+        return a, log_prob, eps, log_std, log_std_raw, cache
+
     def sample_action(self, state) -> np.ndarray:
         """The action in (-1, 1)^dim for one state, from one noise draw."""
-        mean, log_std, _, _ = self._policy_stats(state)
-        eps = self.rng.standard_normal(mean.shape)
-        a, _ = self._squash(mean, log_std, eps)
-        return a[0]
+        return self._sample(state)[0][0]
 
     # ---- targets and critics ---------------------------------------------
     def soft_q_target(self, batch, eps=None) -> np.ndarray:
         """r + gamma*(min(Q1bar,Q2bar)(s',a') - alpha*logpi(a'|s')) with a'
         freshly sampled; terminal transitions bootstrap nothing."""
         s_next = batch["next_states"]
-        mean, log_std, _, _ = self._policy_stats(s_next)
-        if eps is None:
-            eps = self.rng.standard_normal(mean.shape)
-        a_next, log_prob = self._squash(mean, log_std, eps)
+        a_next, log_prob, *_ = self._sample(s_next, eps)
         x = np.concatenate([s_next, a_next], axis=1)
         q1 = self.target_critic1(x)[:, 0]
         q2 = self.target_critic2(x)[:, 0]
@@ -144,10 +143,7 @@ class SacAgent:
         pre-squash Gaussian log-density for the temperature update)."""
         s = batch["states"]
         d = s.shape[0]
-        mean, log_std, log_std_raw, cache = self._policy_stats(s)
-        if eps is None:
-            eps = self.rng.standard_normal(mean.shape)
-        a, log_prob = self._squash(mean, log_std, eps)
+        a, log_prob, eps, log_std, log_std_raw, cache = self._sample(s, eps)
 
         x = np.concatenate([s, a], axis=1)
         q1, c1 = self.critic1.forward(x)

@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from star_isac import physics
 from star_isac.ddpg import DdpgAgent

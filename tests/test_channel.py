@@ -68,22 +68,22 @@ class TestPathLoss:
 
 class TestSteering:
     def test_first_entry_is_one(self):
-        v = steering_bs(5, 0.7, 0.075, 0.15)
+        v = steering_bs(5, 0.7, 0.15)
         assert v[0] == pytest.approx(1.0 + 0j)
 
     def test_broadside_all_ones(self):
-        assert np.allclose(steering_bs(6, 0.0, 0.075, 0.15), 1.0)
-        assert np.allclose(steering_ris(8, 0.0, 1.1, 0.075, 0.15, 4), 1.0)
+        assert np.allclose(steering_bs(6, 0.0, 0.15), 1.0)
+        assert np.allclose(steering_ris(8, 0.0, 1.1, 0.15, 4), 1.0)
 
     def test_endfire_half_wavelength(self):
-        v = steering_bs(2, np.pi / 2, 0.075, 0.15)
+        v = steering_bs(2, np.pi / 2, 0.15)
         assert v[1] == pytest.approx(-1.0 + 0j)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = steering_ris(12, rng.uniform(-np.pi, np.pi),
-                             rng.uniform(-np.pi, np.pi), 0.075, 0.15, 4)
+                             rng.uniform(-np.pi, np.pi), 0.15, 4)
             assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
     def test_planar_index_roundtrip(self):

@@ -154,8 +154,7 @@ class TestConfig:
             v = agent.target_critic(x)[:, 0]
             y = agent.target_value(batch)
         else:
-            mean, log_std, _, _ = agent._policy_stats(s_next)
-            a_next, log_prob = agent._squash(mean, log_std, eps)
+            a_next, log_prob, *_ = agent._sample(s_next, eps)
             x = np.concatenate([s_next, a_next], axis=1)
             v = (np.minimum(agent.target_critic1(x), agent.target_critic2(x))
                  [:, 0] - agent.alpha * log_prob)

@@ -6,7 +6,7 @@ import pytest
 
 from star_isac.experiments import ScenarioConfig
 from star_isac.rl_core import WARMUP_BATCHES, critic_mse
-from star_isac.sac import LOG_STD_MAX, LOG_STD_MIN, SQUASH_EPS, SacAgent
+from star_isac.sac import SQUASH_EPS, SacAgent
 
 import learners
 from learners import random_batch
@@ -22,8 +22,7 @@ class TestSquash:
         rng = np.random.default_rng(0)
         for _ in range(100):
             states = rng.standard_normal((4, 3))
-            mean, log_std, _, _ = agent._policy_stats(states)
-            a, lp = agent._squash(mean, log_std, rng.standard_normal((4, 2)))
+            a, lp, *_ = agent._sample(states, rng.standard_normal((4, 2)))
             assert a.shape == (4, 2) and lp.shape == (4,)
             assert np.all(np.abs(a) < 1.0)
             assert np.all(np.isfinite(lp))
@@ -69,8 +68,7 @@ class TestSoftQTarget:
         agent = tiny_agent(seed=4, gamma=0.9)
         batch = random_batch(np.random.default_rng(4), n=2)
         eps = np.random.default_rng(5).standard_normal((2, 2))
-        mean, log_std, _, _ = agent._policy_stats(batch["next_states"])
-        a_next, lp = agent._squash(mean, log_std, eps)
+        a_next, lp, *_ = agent._sample(batch["next_states"], eps)
         x = np.concatenate([batch["next_states"], a_next], axis=1)
         q1 = agent.target_critic1(x)[:, 0]
         q2 = agent.target_critic2(x)[:, 0]
@@ -136,8 +134,7 @@ class TestGradients:
         batch = random_batch(rng)
         eps = rng.standard_normal((4, 2))
         s = batch["states"]
-        mean, log_std, _, _ = agent._policy_stats(s)
-        a, lp = agent._squash(mean, log_std, eps)
+        a, lp, *_ = agent._sample(s, eps)
         x = np.concatenate([s, a], axis=1)
         q_min = np.minimum(agent.critic1(x)[:, 0], agent.critic2(x)[:, 0])
         loss, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
@@ -262,9 +259,7 @@ def test_sample_action_acts_on_one_state_with_one_draw():
         a = agent.sample_action(state)
         assert a.shape == (2,)
         assert np.all(np.abs(a) < 1.0)
-        mean, log_std, _, _ = agent._policy_stats(state)
-        expect, _ = SacAgent._squash(mean, log_std,
-                                     twin.standard_normal((1, 2)))
+        expect, *_ = agent._sample(state, twin.standard_normal((1, 2)))
         assert np.array_equal(a, expect[0])
         assert agent.rng.bit_generator.state == twin.bit_generator.state
 
@@ -286,7 +281,7 @@ def test_soft_target_uses_normalized_rewards():
 
 def test_initial_policy_std_is_moderate():
     agent = SacAgent(ScenarioConfig(), 5, 7, seed=0)
-    _, log_std, _, _ = agent._policy_stats(np.zeros(5))
+    log_std = agent._sample(np.zeros(5))[3]
     # head bias shifted by INIT_LOG_STD, weights add only small jitter
     assert np.all(log_std < -1.0)
     assert np.all(log_std > -2.2)

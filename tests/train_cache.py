@@ -54,7 +54,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from star_isac.experiments import (ScenarioConfig, _trainer,  # noqa: E402
+from star_isac.experiments import (AGENTS, ScenarioConfig,  # noqa: E402
                                    build_agent, build_baseline, run_seed,
                                    seed_summary)
 from star_isac.rl_core import WARMUP_BATCHES, Adam, Mlp  # noqa: E402
@@ -106,7 +106,8 @@ def probe_values(cfg: ScenarioConfig) -> list:
     env = build_baseline(cfg, seed=1)
     agent = build_agent(cfg, env, seed=0)
     sums = np.zeros((cfg.episodes, 3))
-    for i, out in enumerate(_trainer(cfg)(env, agent, cfg.episodes)):
+    train = AGENTS[cfg.algorithm][0].train
+    for i, out in enumerate(train(env, agent, cfg.episodes)):
         sums[i // cfg.T] += (out.reward, out.sum_secrecy_rate, out.echo_snr)
     return list(sums.T.ravel()) + _state_values(agent)
 
