@@ -8,6 +8,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .experiments import (SWEEP_AXES, ConfigError, ScenarioConfig,
                           load_config, parse_value, run_scenario, sweep)
 
@@ -59,11 +61,11 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "run":
-            summary = run_scenario(cfg, args.out)
-            print(f"scenario {summary['scenario_id']}: "
-                  f"final return {summary['final_return_mean']:.4g} "
-                  f"± {summary['final_return_std']:.4g}, "
-                  f"secrecy {summary['final_secrecy_mean']:.4g} bps/Hz")
+            *per_seed, mean = run_scenario(cfg, args.out)
+            spread = np.std([r["final_return"] for r in per_seed])
+            print(f"scenario {cfg.scenario_id()}: "
+                  f"final return {mean['final_return']:.4g} ± {spread:.4g}, "
+                  f"secrecy {mean['final_secrecy']:.4g} bps/Hz")
         else:  # sweep
             values = [value.strip() for value in args.values.split(",")]
             results = sweep(cfg, args.axis, values, args.out)

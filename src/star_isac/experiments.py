@@ -341,35 +341,32 @@ SUMMARY_COLUMNS = ("final_return", "first_return", "final_secrecy")
 def run_seed(cfg: ScenarioConfig, seed: int):
     """Train one (config, seed) pair; returns (records, per-episode wall
     ms). ``records[episode, step]`` holds the columns of episodes.csv
-    from reward on, the feasibility flags as 0.0 or 1.0."""
+    from reward on, the feasibility flags as 0.0 or 1.0. An episode's
+    wall time runs from its own reset to its last step."""
     env = build_baseline(cfg, seed=2 * seed + 1)
     agent = build_agent(cfg, env, seed=2 * seed)
     # looked up on the module at each call, so a rebound ``train`` runs
-    train = AGENTS[cfg.algorithm][0].train
-    rows = []
-    episode_ms = []
-    t0 = time.perf_counter()
+    outcomes = AGENTS[cfg.algorithm][0].train(env, agent, cfg.episodes)
     value_columns = episode_columns(cfg.M)[4:-2]
+    rows, episode_ms = [], []
     try:
-        for i, out in enumerate(train(env, agent, cfg.episodes)):
-            episode, step = divmod(i, cfg.T)
-            if step == 0 and episode:
-                now = time.perf_counter()
-                episode_ms.append((now - t0) * 1e3)
-                t0 = now
-            row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
-                   out.echo_snr, out.snr_feasible, out.rate_feasible)
-            for name, value in zip(value_columns, row):
-                if not math.isfinite(value):
-                    raise RunError(f"non-finite {name} ({value}) at "
-                                   f"episode {episode}, step {step}")
-            rows.append(row)
+        for episode in range(cfg.episodes):
+            t0 = time.perf_counter()
+            # zip asks range first, so it pulls exactly T outcomes
+            for step, out in zip(range(cfg.T), outcomes):
+                row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
+                       out.echo_snr, out.snr_feasible, out.rate_feasible)
+                for name, value in zip(value_columns, row):
+                    if not math.isfinite(value):
+                        raise RunError(f"non-finite {name} ({value}) at "
+                                       f"episode {episode}, step {step}")
+                rows.append(row)
+            episode_ms.append((time.perf_counter() - t0) * 1e3)
     except NonFiniteLoss as exc:
         # the update after step len(rows) raised it, before that step's
         # record came out
-        episode, step = divmod(len(rows), cfg.T)
-        raise RunError(f"{exc} at episode {episode}, step {step}") from exc
-    episode_ms.append((time.perf_counter() - t0) * 1e3)
+        raise RunError(f"{exc} at episode {episode}, "
+                       f"step {len(rows) % cfg.T}") from exc
     return np.array(rows, float).reshape(cfg.episodes, cfg.T, -1), episode_ms
 
 
@@ -389,18 +386,11 @@ def seed_summary(records) -> dict:
     }
 
 
-def _summary_rows(summary: dict) -> list:
-    """The rows of summary.csv and sweep.csv a run_scenario summary
-    gives: one per seed, then the across-seed means."""
-    return [*({"seed": seed, **s} for seed, s in summary["per_seed"].items()),
-            {"seed": "mean", "final_return": summary["final_return_mean"],
-             "first_return": "",
-             "final_secrecy": summary["final_secrecy_mean"]}]
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
+def run_scenario(cfg: ScenarioConfig, out_dir) -> list:
     """Train every configured seed; writes episodes.csv, summary.csv,
-    timing.csv, and config.echo under out_dir.
+    timing.csv, and config.echo under out_dir. Returns summary.csv's
+    rows: one dict per seed, then the across-seed mean of every
+    SUMMARY_COLUMNS entry but first_return, which is left blank.
 
     Wall-clock timings live in their own file so the training CSVs stay
     byte-identical across repeat runs of the same seeds.
@@ -421,21 +411,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
                     w.writerow([sid, seed, episode, step, *map(_fmt, values),
                                 int(snr_ok), int(rate_ok)])
 
-    per_seed = {seed: seed_summary(records) for seed, records in runs.items()}
-    finals = np.array([s["final_return"] for s in per_seed.values()])
-    secs = np.array([s["final_secrecy"] for s in per_seed.values()])
-    summary = {
-        "scenario_id": sid,
-        "final_return_mean": float(np.mean(finals)),
-        "final_return_std": float(np.std(finals)),
-        "final_secrecy_mean": float(np.mean(secs)),
-        "final_secrecy_std": float(np.std(secs)),
-        "per_seed": per_seed,
-    }
+    rows = [{"seed": seed, **seed_summary(records)}
+            for seed, records in runs.items()]
+    rows.append({"seed": "mean", **{c: float(np.mean([r[c] for r in rows]))
+                                    for c in SUMMARY_COLUMNS},
+                 "first_return": ""})
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario_id", "seed", *SUMMARY_COLUMNS])
-        for r in _summary_rows(summary):
+        for r in rows:
             w.writerow([sid, r["seed"], *(_fmt(r[c]) for c in SUMMARY_COLUMNS)])
 
     with open(out / "timing.csv", "w", newline="") as f:
@@ -448,7 +432,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     with open(out / "config.echo", "w") as f:
         for k, v in sorted(cfg.as_flat_dict().items()):
             f.write(f"{k} = {v}\n")
-    return summary
+    return rows
 
 
 # sweep axis -> the config key it varies
@@ -480,9 +464,8 @@ def sweep(cfg: ScenarioConfig, axis: str, values, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for value, sub_cfg in sub_cfgs.items():
-        summary = run_scenario(sub_cfg, out / f"{axis}_{value}")
         results += [{"axis": axis, "value": value, **r}
-                    for r in _summary_rows(summary)]
+                    for r in run_scenario(sub_cfg, out / f"{axis}_{value}")]
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["axis", "value", "seed", *SUMMARY_COLUMNS])

@@ -83,8 +83,10 @@ def ts_periods(pi_1: float, phi_a: np.ndarray, phi_b: np.ndarray) -> list:
     through Phi_A^TS = exp(j phi_a). In the TS protocol of Mu et al.
     (IEEE TWC 2022) the elements instead reflect in one period and
     transmit in the other, so the target would see Phi_A^TS while the
-    users see only their direct links; this model has not been checked
-    against that reading.
+    users see only their direct links. This model is not passive: its
+    pi_2 period gives |Phi_A|^2 + |Phi_B|^2 = 2 per element, which
+    tests/test_star_ris.py::test_every_surface_is_passive pins as a
+    strict xfail until ROADMAP item 3 makes TS time switching.
     """
     n = np.size(phi_a)
     # [Phi_A^TS, Phi_B^TS] as exp of j*[phi_a, phi_b], in place

@@ -2,10 +2,12 @@ import csv
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from star_isac import experiments
 from star_isac.cli import build_parser, main as cli_main
 from star_isac.env import EnvError, SecureIsacEnv
 from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
@@ -270,11 +272,12 @@ class TestRunSeed:
         # 40-transition warm-up.
         cfg = tiny_cfg(T=12, episodes=5, seeds=(0, 1))
         summary = run_scenario(cfg, tmp_path)
+        assert [r["seed"] for r in summary] == [*cfg.seeds, "mean"]
         with open(tmp_path / "episodes.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
         assert {r[0] for r in rows} == {cfg.scenario_id()}
         assert {flag for r in rows for flag in r[-2:]} <= {"0", "1"}
-        for seed in cfg.seeds:
+        for seed, seed_row in zip(cfg.seeds, summary):
             steps = [r for r in rows if r[1] == str(seed)]
             assert [(int(r[2]), int(r[3])) for r in steps] == \
                 [divmod(i, cfg.T) for i in range(cfg.episodes * cfg.T)]
@@ -288,7 +291,8 @@ class TestRunSeed:
                 returns.append(total)
                 secrecy.append(np.mean([step[1] for step in episode]))
             w = min(FINAL_WINDOW, cfg.episodes)
-            assert summary["per_seed"][seed] == seed_summary(records) == {
+            assert seed_row == {"seed": seed, **seed_summary(records)}
+            assert seed_summary(records) == {
                 "final_return": float(np.mean(returns[-w:])),
                 "first_return": float(np.mean(returns[:w])),
                 "final_secrecy": float(np.mean(secrecy[-w:])),
@@ -300,6 +304,23 @@ class TestRunSeed:
                 assert seed_summary(records[e:e + 1]) == {
                     "final_return": returns[e], "first_return": returns[e],
                     "final_secrecy": secrecy[e]}
+
+    def test_each_episode_timed_from_its_own_reset(self, monkeypatch):
+        # a fake clock that only episode 2's reset moves, by one second:
+        # that second belongs to episode 2 and to no other
+        now, reset, resets = [0.0], SecureIsacEnv.reset, []
+
+        def slow_reset(env):
+            if len(resets) == 2:
+                now[0] += 1.0
+            resets.append(env)
+            return reset(env)
+
+        monkeypatch.setattr(experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(SecureIsacEnv, "reset", slow_reset)
+        _, episode_ms = run_seed(tiny_cfg(episodes=4), 0)
+        assert episode_ms == [0.0, 0.0, 1000.0, 0.0]
 
     @pytest.mark.parametrize("algorithm", list(AGENTS))
     @pytest.mark.parametrize("wider", ["state", "action"])
@@ -336,7 +357,30 @@ class TestRunScenario:
         assert len(srows) == 1 + 2 + 1  # header, per-seed, mean
         assert srows[-1][1] == "mean"
         finals = [float(r[2]) for r in srows[1:3]]
-        assert summary["final_return_mean"] == pytest.approx(np.mean(finals))
+        assert [r["seed"] for r in summary] == [0, 1, "mean"]
+        assert summary[-1]["final_return"] == pytest.approx(np.mean(finals))
+
+    def test_a_new_statistic_is_one_entry(self, monkeypatch, tmp_path):
+        # a fourth per-seed statistic, named in SUMMARY_COLUMNS and
+        # computed in seed_summary, reaches every summary output
+        summarise = experiments.seed_summary
+        monkeypatch.setattr(experiments, "SUMMARY_COLUMNS",
+                            (*experiments.SUMMARY_COLUMNS, "last_return"))
+        monkeypatch.setattr(experiments, "seed_summary", lambda records: {
+            **summarise(records),
+            "last_return": float(episode_returns(records)[-1])})
+        results = sweep(tiny_cfg(seeds=(0, 1)), "lr", ["1e-4"], tmp_path)
+        with open(tmp_path / "lr_0.0001" / "summary.csv", newline="") as f:
+            srows = list(csv.DictReader(f))
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            swept = list(csv.DictReader(f))
+        assert [r["seed"] for r in srows] == ["0", "1", "mean"]
+        lasts = [float(r["last_return"]) for r in srows[:2]]
+        assert [r["last_return"] for r in results] == \
+            [*lasts, float(np.mean(lasts))]
+        assert [r["last_return"] for r in swept] == \
+            [r["last_return"] for r in srows] == \
+            [format(x, ".17g") for x in (*lasts, np.mean(lasts))]
 
     def test_config_echo_roundtrips(self, tmp_path):
         cfgs = [tiny_cfg(algorithm="ddpg", p0_dbm=30.0), *off_default_cfgs()]
@@ -474,10 +518,18 @@ class TestCli:
 
     def test_run_exit_zero(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
-                       "--out", str(tmp_path / "out")])
+                       "--seeds", "0,1", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "episodes.csv").exists()
-        assert "final return" in capsys.readouterr().out
+        # the printed mean and spread are those of summary.csv's rows
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            *per_seed, mean = csv.DictReader(f)
+        finals = [float(r["final_return"]) for r in per_seed]
+        assert capsys.readouterr().out == (
+            f"scenario {mean['scenario_id']}: "
+            f"final return {float(mean['final_return']):.4g} "
+            f"± {np.std(finals):.4g}, "
+            f"secrecy {float(mean['final_secrecy']):.4g} bps/Hz\n")
 
     def test_sweep_exit_zero(self, tmp_path, capsys):
         rc = cli_main(["sweep", "--config", self.write_cfg(tmp_path),
