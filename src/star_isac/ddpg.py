@@ -69,9 +69,8 @@ class DdpgAgent:
         q, c_cache = self.critic.forward(x)
         d = q.shape[0]
         objective = float(np.mean(q))
-        _, dx = self.critic.through().backward(c_cache,
-                                               np.full((d, 1), 1.0 / d))
-        da = dx[:, self.state_dim:]
+        _, da = self.critic.through(self.state_dim).backward(
+            c_cache, np.full((d, 1), 1.0 / d))
         grads, _ = self.actor.backward(a_cache, da)
         return objective, grads
 

@@ -86,9 +86,10 @@ class Mlp:
     ``biases`` are views into it. forward returns a cache that backward
     consumes to produce parameter gradients, written into one vector of
     the same layout that the net allocates on its first backward pass.
-    The view that through() returns shares the parameters, and its
-    backward gives only the gradient with respect to the input (needed
-    when an objective is differentiated through a critic's action input).
+    The view that through(start) returns shares the parameters, and its
+    backward gives only the gradient with respect to input columns
+    start: (needed when an objective is differentiated through a
+    critic's action input, which follows the state).
     """
 
     def __init__(self, sizes, output_activation, rng):
@@ -101,11 +102,13 @@ class Mlp:
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
 
-    def _bind(self, flat: np.ndarray, input_grad_only: bool = False) -> None:
+    def _bind(self, flat: np.ndarray, input_start: int | None = None) -> None:
         self.flat = flat
         self.weights, self.biases = _layer_views(self.sizes, flat)
         self.grad = None
-        self._input_grad_only = input_grad_only
+        # None on a trained net; on a view, the first input column whose
+        # gradient its backward returns
+        self._input_start = input_start
         self._through = None
 
     @property
@@ -113,26 +116,28 @@ class Mlp:
         """The arrays an optimizer steps: the one flat vector."""
         return [self.flat]
 
-    def _over(self, flat: np.ndarray, input_grad_only: bool = False):
+    def _over(self, flat: np.ndarray, input_start: int | None = None):
         """A net of this shape whose parameters are the vector flat."""
         other = Mlp.__new__(Mlp)
         other.sizes = list(self.sizes)
         other.activations = list(self.activations)
-        other._bind(flat, input_grad_only)
+        other._bind(flat, input_start)
         return other
 
     def copy(self) -> "Mlp":
         return self._over(self.flat.copy())
 
-    def through(self) -> "Mlp":
+    def through(self, start: int) -> "Mlp":
         """A view that shares this net's parameters and whose backward
-        returns only the input gradient; made once, then reused. The view
-        is its own through(), without a reference to itself: such a cycle
-        would keep the parameters alive until a full garbage collection."""
-        if self._input_grad_only:
+        returns only the gradient with respect to input columns start:;
+        made once, then reused while start stays the same. The view is
+        its own through(start), without a reference to itself: such a
+        cycle would keep the parameters alive until a full garbage
+        collection."""
+        if self._input_start == start:
             return self
-        if self._through is None:
-            self._through = self._over(self.flat, input_grad_only=True)
+        if self._through is None or self._through._input_start != start:
+            self._through = self._over(self.flat, start)
         return self._through
 
     def forward(self, x: np.ndarray):
@@ -159,12 +164,13 @@ class Mlp:
 
         Returns (grads, None) with grads ordered as self.params: the
         net's gradient buffer, which the next backward overwrites; the
-        input gradient is not computed. On the view from through(),
-        returns (None, dL/dx) and computes no parameter gradients.
+        input gradient is not computed. On the view from through(start),
+        returns (None, dL/dx[:, start:]) and computes no parameter
+        gradients.
         """
         inputs, pre, post = cache
         delta = dy
-        params_too = not self._input_grad_only
+        params_too = self._input_start is None
         if params_too and self.grad is None:
             self.grad = np.empty_like(self.flat)
             self._grad_w, self._grad_b = _layer_views(self.sizes, self.grad)
@@ -177,7 +183,8 @@ class Mlp:
                 np.sum(delta, axis=0, out=self._grad_b[i])
                 if i == 0:
                     return [self.grad], None
-            delta = delta @ self.weights[i].T
+            w = self.weights[i]
+            delta = delta @ (w[self._input_start:] if i == 0 else w).T
         return None, delta
 
 
@@ -201,9 +208,14 @@ class Adam:
         b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        # Kingma & Ba's efficient order (section 2): lr*(m/c1)/(sqrt(v/c2)
+        # + eps) is lr_t*m/(sqrt(v) + eps_t), the bias corrections folded
+        # into the step size and epsilon once per step
+        lr_t = self.lr * math.sqrt(c2) / c1
+        eps_t = self.EPS * math.sqrt(c2)
         for arrays in zip(params, grads, self.m, self.v):
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-            # p -= lr*(m/c1) / (sqrt(v/c2) + eps), one chunk at a time
+            # p -= m/(sqrt(v) + eps_t)*lr_t, one chunk at a time
             for p, g, m, v, s, u in _flat_chunks(*arrays):
                 m *= b1
                 np.multiply(g, 1 - b1, out=s)
@@ -212,12 +224,10 @@ class Adam:
                 np.multiply(g, 1 - b2, out=s)
                 s *= g
                 v += s
-                np.divide(v, c2, out=s)
-                np.sqrt(s, out=s)
-                s += self.EPS
-                np.divide(m, c1, out=u)
-                u *= self.lr
-                u /= s
+                np.sqrt(v, out=s)
+                s += eps_t
+                np.divide(m, s, out=u)
+                u *= lr_t
                 p -= u
 
 

@@ -155,9 +155,9 @@ class SacAgent:
 
         # dQmin/da via whichever critic attains the min, per sample
         pick1 = (q1 <= q2).astype(float)[:, None]
-        _, dx1 = self.critic1.through().backward(c1, pick1)
-        _, dx2 = self.critic2.through().backward(c2, 1.0 - pick1)
-        dq_da = (dx1 + dx2)[:, self.state_dim:]
+        _, da1 = self.critic1.through(self.state_dim).backward(c1, pick1)
+        _, da2 = self.critic2.through(self.state_dim).backward(c2, 1.0 - pick1)
+        dq_da = da1 + da2
 
         one_m_t2 = 1.0 - a * a
         # d logpi / du, squash-correction term only (the Gaussian part is

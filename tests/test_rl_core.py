@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -57,7 +58,7 @@ class TestMlp:
         net = Mlp([3, 8, 1], "linear", rng)
         x = rng.standard_normal((1, 3))
         _, cache = net.forward(x)
-        grads, dx = net.through().backward(cache, np.ones((1, 1)))
+        grads, dx = net.through(0).backward(cache, np.ones((1, 1)))
         assert grads is None
         h = 1e-6
         for j in range(3):
@@ -66,6 +67,34 @@ class TestMlp:
             xm[0, j] -= h
             num = (net(xp)[0, 0] - net(xm)[0, 0]) / (2 * h)
             assert dx[0, j] == pytest.approx(num, abs=1e-6, rel=1e-5)
+
+    def test_through_zero_is_the_full_input_gradient(self):
+        rng = np.random.default_rng(21)
+        net = Mlp([5, 8, 8, 2], "tanh", rng)
+        y, cache = net.forward(rng.standard_normal((6, 5)))
+        dy = rng.standard_normal((6, 2))
+        _, dx = net.through(0).backward(cache, dy)
+        (z0, z1, _), (w0, w1, w2) = cache[1], net.weights
+        delta = dy * (1.0 - y * y)
+        delta = (delta @ w2.T) * (z1 > 0.0)
+        delta = (delta @ w1.T) * (z0 > 0.0)
+        assert np.array_equal(dx, delta @ w0.T)
+
+    def test_through_start_gives_the_trailing_input_columns(self):
+        # the critic's case: only the action columns after the state
+        rng = np.random.default_rng(20)
+        net = Mlp([40, 32, 32, 1], "linear", rng)
+        _, cache = net.forward(rng.standard_normal((16, 40)))
+        dy = rng.standard_normal((16, 1))
+        _, full = net.through(0).backward(cache, dy)
+        for start in (1, 30, 39):
+            view = net.through(start)
+            assert view is net.through(start) and view.through(start) is view
+            grads, dx = view.backward(cache, dy)
+            assert grads is None and net.grad is None
+            assert dx.shape == (16, 40 - start)
+            err = np.max(np.abs(dx - full[:, start:]))
+            assert err <= 1e-12 * np.max(np.abs(full[:, start:]))
 
     def test_copy_is_independent(self):
         net = Mlp([2, 3, 1], "linear", np.random.default_rng(7))
@@ -101,7 +130,7 @@ class TestMlp:
         # a reference cycle would keep the shared parameter vector alive
         # until the next full collection
         net = Mlp([3, 4, 2], "linear", np.random.default_rng(16))
-        refs = [weakref.ref(net), weakref.ref(net.through())]
+        refs = [weakref.ref(net), weakref.ref(net.through(2))]
         gc.disable()
         try:
             del net
@@ -112,8 +141,8 @@ class TestMlp:
     def test_through_shares_parameters_not_gradients(self):
         rng = np.random.default_rng(15)
         net = Mlp([3, 4, 2], "linear", rng)
-        view = net.through()
-        assert view is net.through() and view.through() is view
+        view = net.through(0)
+        assert view is net.through(0) and view.through(0) is view
         assert view.flat is net.flat
         assert all(np.shares_memory(a, b) for a, b in
                    zip(view.weights + view.biases, net.weights + net.biases))
@@ -167,7 +196,9 @@ class TestAdam:
 
     def test_chunked_step_matches_per_array_formula_bitwise(self):
         # a vector longer than one chunk and not a multiple of it, next to
-        # a small array, against the update written out on whole arrays
+        # a small array, against the update written out on whole arrays in
+        # Kingma & Ba's efficient order: the bias corrections folded into
+        # the step size and epsilon
         rng = np.random.default_rng(17)
         sizes = (2 * CHUNK + 123, 7)
         params = [rng.standard_normal(n) for n in sizes]
@@ -180,14 +211,33 @@ class TestAdam:
             grads = [rng.standard_normal(n) for n in sizes]
             opt.step(params, grads)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            lr_t, eps_t = lr * math.sqrt(c2) / c1, eps * math.sqrt(c2)
             for p, g, mi, vi in zip(ref, grads, m, v):
                 mi *= b1
                 mi += (1 - b1) * g
                 vi *= b2
                 vi += (1 - b2) * g * g
-                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+                p -= mi / (np.sqrt(vi) + eps_t) * lr_t
             for p, r in zip(params, ref):
                 assert np.array_equal(p, r)
+
+    def test_long_run_matches_textbook_recursion(self):
+        # 1,000 steps against the bias-corrected form as Kingma & Ba's
+        # Algorithm 1 writes it: the two orders differ only in rounding, a
+        # few ulps of |p| ~ 1 after the parameters have walked ~0.2
+        rng = np.random.default_rng(19)
+        p = rng.standard_normal(50)
+        ref, start = p.copy(), p.copy()
+        m, v = np.zeros(50), np.zeros(50)
+        opt = Adam([p], lr=1e-3)
+        for t in range(1, 1001):
+            g = rng.standard_normal(50) + 0.1 * p
+            opt.step([p], [g])
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            ref -= 1e-3 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        assert np.max(np.abs(p - start)) > 0.1
+        assert np.allclose(p, ref, rtol=0.0, atol=1e-14)
 
     def test_descends_quadratic(self):
         p = np.array([5.0])

@@ -31,9 +31,10 @@ keeps the key. So does a change to how the reward reads kappa in slots
 that meet the echo-SNR constraint, for the kappa = 8 and 12 dB entries:
 no slot of their probes meets it, so the two probes are bit-identical
 and share a digest (CHANGES.md, FOUND line 43). The committed entries are such a case: they were trained
-at eacaaf8, and the last-bit moves of 2ffc067 and 26a39c5 kept every
-digest, but 300 episodes amplify them, so a retrain at the current code
-does not reproduce them (ROADMAP, the refill item). Files whose key no
+at eacaaf8, and the last-bit moves of 2ffc067, 26a39c5 and the learner's
+efficient-order Adam with its action-columns-only critic input gradient
+kept every digest, but 300 episodes amplify them, so a retrain at the
+current code does not reproduce them (ROADMAP, the refill item). Files whose key no
 current config produces are orphans of older code; the tests reject
 them.
 """
