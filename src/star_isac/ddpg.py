@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
-                      check_losses, critic_mse, soft_update)
+                      critic_mse, soft_update)
 
 if TYPE_CHECKING:
     from .experiments import ScenarioConfig
@@ -89,26 +89,28 @@ class DdpgAgent:
         self.buffer.add(state, action, reward, next_state, done)
         self.reward_scale.update(reward)
 
-    def maybe_update(self) -> None:
-        # one critic + one actor update per environment step, after a
-        # warm-up of WARMUP_BATCHES batches worth of transitions
+    def maybe_update(self) -> dict:
+        """One critic + one actor update per environment step, after a
+        warm-up of WARMUP_BATCHES batches worth of transitions; returns
+        the update's {name: loss}, empty while warming up."""
         if len(self.buffer) < WARMUP_BATCHES * self.cfg.batch_size:
-            return
+            return {}
         batch = self.buffer.sample(self.cfg.batch_size, self.rng)
-        check_losses({"critic loss": self.critic_update(batch),
-                      "actor objective": self.actor_update(batch)})
+        losses = {"critic loss": self.critic_update(batch),
+                  "actor objective": self.actor_update(batch)}
         self.update_targets()
+        return losses
 
 
 def train(env, agent: DdpgAgent, episodes: int):
-    """Run the training loop; yields the env's StepOutcome of every step,
-    episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
+    """Run the training loop; yields (the env's StepOutcome, the losses
+    of the update after it) for every step, episode by episode, so the
+    i-th has (episode, step) = divmod(i, T). Nothing here checks them."""
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):
             action = agent.select_action(state)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
-            agent.maybe_update()
-            yield out
+            yield out, agent.maybe_update()
             state = out.next_state

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ddpg, sac, star_ris
 from .env import SecureIsacEnv
-from .rl_core import WARMUP_BATCHES, NonFiniteLoss
+from .rl_core import WARMUP_BATCHES
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
 
@@ -342,31 +342,27 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     """Train one (config, seed) pair; returns (records, per-episode wall
     ms). ``records[episode, step]`` holds the columns of episodes.csv
     from reward on, the feasibility flags as 0.0 or 1.0. An episode's
-    wall time runs from its own reset to its last step."""
+    wall time runs from its own reset to its last step. Each step's
+    record, then the losses of the update after it, must be finite: the
+    first value that is not stops the run with ``RunError``."""
     env = build_baseline(cfg, seed=2 * seed + 1)
     agent = build_agent(cfg, env, seed=2 * seed)
     # looked up on the module at each call, so a rebound ``train`` runs
     outcomes = AGENTS[cfg.algorithm][0].train(env, agent, cfg.episodes)
     value_columns = episode_columns(cfg.M)[4:-2]
     rows, episode_ms = [], []
-    try:
-        for episode in range(cfg.episodes):
-            t0 = time.perf_counter()
-            # zip asks range first, so it pulls exactly T outcomes
-            for step, out in zip(range(cfg.T), outcomes):
-                row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
-                       out.echo_snr, out.snr_feasible, out.rate_feasible)
-                for name, value in zip(value_columns, row):
-                    if not math.isfinite(value):
-                        raise RunError(f"non-finite {name} ({value}) at "
-                                       f"episode {episode}, step {step}")
-                rows.append(row)
-            episode_ms.append((time.perf_counter() - t0) * 1e3)
-    except NonFiniteLoss as exc:
-        # the update after step len(rows) raised it, before that step's
-        # record came out
-        raise RunError(f"{exc} at episode {episode}, "
-                       f"step {len(rows) % cfg.T}") from exc
+    for episode in range(cfg.episodes):
+        t0 = time.perf_counter()
+        # zip asks range first, so it pulls exactly T outcomes
+        for step, (out, losses) in zip(range(cfg.T), outcomes):
+            row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
+                   out.echo_snr, out.snr_feasible, out.rate_feasible)
+            for name, value in (*zip(value_columns, row), *losses.items()):
+                if not math.isfinite(value):
+                    raise RunError(f"non-finite {name} ({value}) at "
+                                   f"episode {episode}, step {step}")
+            rows.append(row)
+        episode_ms.append((time.perf_counter() - t0) * 1e3)
     return np.array(rows, float).reshape(cfg.episodes, cfg.T, -1), episode_ms
 
 

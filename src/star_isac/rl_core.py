@@ -27,18 +27,6 @@ class RlError(ValueError):
     pass
 
 
-class NonFiniteLoss(ArithmeticError):
-    """A learner's loss came out NaN or infinite."""
-
-
-def check_losses(losses: dict) -> None:
-    """Raise ``NonFiniteLoss`` naming the first non-finite value of
-    {name: loss}."""
-    for name, value in losses.items():
-        if not math.isfinite(value):
-            raise NonFiniteLoss(f"non-finite {name} ({value})")
-
-
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer, RewardScale,
-                      check_losses, critic_mse, soft_update)
+                      critic_mse, soft_update)
 
 if TYPE_CHECKING:
     from .experiments import ScenarioConfig
@@ -93,15 +93,14 @@ class SacAgent:
             axis=1)
         return a, log_prob
 
-    def _sample(self, states, eps=None):
+    def _sample(self, states):
         """One reparameterized, squashed draw per state: (a, log_prob, eps,
-        log_std, log_std_raw, policy cache), eps drawn unless given."""
+        log_std, log_std_raw, policy cache), eps drawn from ``self.rng``."""
         out, cache = self.policy.forward(states)
         mean = out[:, :self.action_dim]
         log_std_raw = out[:, self.action_dim:]
         log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-        if eps is None:
-            eps = self.rng.standard_normal(mean.shape)
+        eps = self.rng.standard_normal(mean.shape)
         a, log_prob = self._squash(mean, log_std, eps)
         return a, log_prob, eps, log_std, log_std_raw, cache
 
@@ -110,11 +109,11 @@ class SacAgent:
         return self._sample(state)[0][0]
 
     # ---- targets and critics ---------------------------------------------
-    def soft_q_target(self, batch, eps=None) -> np.ndarray:
+    def soft_q_target(self, batch) -> np.ndarray:
         """r + gamma*(min(Q1bar,Q2bar)(s',a') - alpha*logpi(a'|s')) with a'
         freshly sampled; terminal transitions bootstrap nothing."""
         s_next = batch["next_states"]
-        a_next, log_prob, *_ = self._sample(s_next, eps)
+        a_next, log_prob, *_ = self._sample(s_next)
         x = np.concatenate([s_next, a_next], axis=1)
         q1 = self.target_critic1(x)[:, 0]
         q2 = self.target_critic2(x)[:, 0]
@@ -122,8 +121,8 @@ class SacAgent:
         r = self.reward_scale.normalize(batch["rewards"])
         return r + self.cfg.gamma * (1.0 - batch["dones"]) * v
 
-    def critic_update(self, batch, eps=None):
-        y = self.soft_q_target(batch, eps=eps)
+    def critic_update(self, batch):
+        y = self.soft_q_target(batch)
         loss1, g1 = critic_mse(self.critic1, batch, y)
         loss2, g2 = critic_mse(self.critic2, batch, y)
         self.critic1_opt.step(self.critic1.params, g1)
@@ -137,13 +136,13 @@ class SacAgent:
         -H(N(mean, std^2)); the quantity the temperature regulates."""
         return -np.sum(log_std + 0.5 * np.log(2.0 * np.pi * np.e), axis=1)
 
-    def policy_loss_and_grads(self, batch, eps=None):
+    def policy_loss_and_grads(self, batch):
         """J = mean(alpha*logpi(a|s) - min Q(s,a)) with a reparameterized
         through the policy; returns (J, policy grads, per-state
         pre-squash Gaussian log-density for the temperature update)."""
         s = batch["states"]
         d = s.shape[0]
-        a, log_prob, eps, log_std, log_std_raw, cache = self._sample(s, eps)
+        a, log_prob, eps, log_std, log_std_raw, cache = self._sample(s)
 
         x = np.concatenate([s, a], axis=1)
         q1, c1 = self.critic1.forward(x)
@@ -173,8 +172,8 @@ class SacAgent:
         grads, _ = self.policy.backward(cache, upstream)
         return loss, grads, self._noise_log_prob(log_std)
 
-    def policy_update(self, batch, eps=None):
-        loss, grads, log_prob = self.policy_loss_and_grads(batch, eps=eps)
+    def policy_update(self, batch):
+        loss, grads, log_prob = self.policy_loss_and_grads(batch)
         self.policy_opt.step(self.policy.params, grads)
         return loss, log_prob
 
@@ -199,28 +198,29 @@ class SacAgent:
         self.buffer.add(state, action, reward, next_state, done)
         self.reward_scale.update(reward)
 
-    def maybe_update(self) -> None:
+    def maybe_update(self) -> dict:
+        """One update of both critics, the policy, the temperature and
+        the targets; returns its {name: loss}, empty while warming up."""
         if len(self.buffer) < WARMUP_BATCHES * self.cfg.batch_size:
-            return
+            return {}
         batch = self.buffer.sample(self.cfg.batch_size, self.rng)
         critic1_loss, critic2_loss = self.critic_update(batch)
         policy_loss, log_prob = self.policy_update(batch)
-        check_losses({"critic 1 loss": critic1_loss,
-                      "critic 2 loss": critic2_loss,
-                      "policy loss": policy_loss})
         self.temperature_update(log_prob)
         self.update_targets()
+        return {"critic 1 loss": critic1_loss, "critic 2 loss": critic2_loss,
+                "policy loss": policy_loss}
 
 
 def train(env, agent: SacAgent, episodes: int):
-    """Run the training loop; yields the env's StepOutcome of every step,
-    episode by episode, so the i-th has (episode, step) = divmod(i, T)."""
+    """Run the training loop; yields (the env's StepOutcome, the losses
+    of the update after it) for every step, episode by episode, so the
+    i-th has (episode, step) = divmod(i, T). Nothing here checks them."""
     for _ in range(episodes):
         state = env.reset()
         for _ in range(env.T):
             action = agent.sample_action(state)
             out = env.step(action)
             agent.observe(state, action, out.reward, out.next_state, out.done)
-            agent.maybe_update()
-            yield out
+            yield out, agent.maybe_update()
             state = out.next_state

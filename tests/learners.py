@@ -4,7 +4,10 @@ A tiny agent has 3 state and 2 action dimensions and is built from a
 ``ScenarioConfig``, as a run builds its agent: it runs the config's
 defaults, except two hidden layers of 8 units, batches of 4 and a
 256-transition buffer, and takes only settings a config accepts.
+``fixed_noise`` fixes the noise an agent draws from its ``rng``.
 """
+from contextlib import contextmanager
+
 import numpy as np
 
 from star_isac.experiments import ScenarioConfig
@@ -30,3 +33,27 @@ def random_batch(rng, n=4, dones=None):
         "next_states": rng.standard_normal((n, STATE_DIM)),
         "dones": np.zeros(n) if dones is None else np.asarray(dones, float),
     }
+
+
+class _FixedNoise:
+    """Stands in for an agent's generator: each standard-normal draw is
+    eps, and must ask for eps's shape."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def standard_normal(self, shape):
+        assert shape == self.eps.shape, (shape, self.eps.shape)
+        return self.eps
+
+
+@contextmanager
+def fixed_noise(agent, eps):
+    """Within the block every standard-normal draw of ``agent.rng`` is
+    eps, so SAC's reparameterized draws are fixed; the agent's own
+    generator is back when the block ends."""
+    rng, agent.rng = agent.rng, _FixedNoise(np.asarray(eps, float))
+    try:
+        yield agent
+    finally:
+        agent.rng = rng

@@ -7,14 +7,15 @@ import numpy as np
 
 
 def naive_effective_channel(direct, ris_side, phi, H):
-    """h^H = ris_side^H Phi H + direct^H via explicit loops."""
+    """h^H = ris_side^H diag(phi) H + direct^H via explicit loops; phi
+    holds the surface's N coefficients."""
     L = H.shape[1]
     N = H.shape[0]
     hH = np.zeros(L, complex)
     for l in range(L):
         acc = 0.0 + 0.0j
         for n in range(N):
-            acc += np.conj(ris_side[n]) * phi[n, n] * H[n, l]
+            acc += np.conj(ris_side[n]) * phi[n] * H[n, l]
         hH[l] = acc + np.conj(direct[l])
     return hH
 
@@ -72,8 +73,8 @@ def naive_echo_snr_montecarlo(g_s, K, u, P, tau, sigma_s2, draws, rng):
 
 
 def random_instance(rng, L=3, N=6, M=2, scale=1.0):
-    """Random channels, surface matrices, and beamformers for oracle
-    comparisons."""
+    """Random channels, surface coefficient vectors, and beamformers for
+    oracle comparisons."""
     def cvec(n):
         return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -91,8 +92,8 @@ def random_instance(rng, L=3, N=6, M=2, scale=1.0):
     }
     theta = rng.uniform(0, np.pi / 2, N)
     phases = rng.uniform(-np.pi, np.pi, N)
-    inst["phi_a"] = np.diag(np.cos(theta) * np.exp(1j * (phases + np.pi / 2)))
-    inst["phi_b"] = np.diag(np.sin(theta) * np.exp(1j * phases))
+    inst["phi_a"] = np.cos(theta) * np.exp(1j * (phases + np.pi / 2))
+    inst["phi_b"] = np.sin(theta) * np.exp(1j * phases)
     return inst
 
 

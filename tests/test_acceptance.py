@@ -20,6 +20,7 @@ from star_isac.sac import SacAgent
 from star_isac.star_ris import decode, es_power_split, ts_periods
 
 import train_cache
+from learners import fixed_noise
 from oracles import (central_differences, kernel_inputs, naive_echo_snr,
                      naive_echo_snr_montecarlo, naive_effective_channel,
                      naive_sinr, random_instance)
@@ -48,9 +49,8 @@ def _channels(ch, phi_a, phi_b):
 
 
 def _target(ch, inst):
-    """The sensing channel g_s under the instance's ES surfaces, which
-    the oracle instances hold as diagonal matrices."""
-    return _channels(ch, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))[-1].conj()
+    """The sensing channel g_s under the instance's ES surfaces."""
+    return _channels(ch, inst["phi_a"], inst["phi_b"])[-1].conj()
 
 
 def test_criterion_01_physics_oracles():
@@ -62,7 +62,7 @@ def test_criterion_01_physics_oracles():
         inst, ch, K, L, N, M = _instance(rng)
         phi_a, phi_b = inst["phi_a"], inst["phi_b"]
         sigma2 = float(rng.uniform(0.5, 2.0))
-        h_eff = _channels(ch, np.diag(phi_a), np.diag(phi_b))
+        h_eff = _channels(ch, phi_a, phi_b)
         sinr = physics.sinrs(h_eff, K, sigma2)
         for m in range(M):
             pairs = [
@@ -224,12 +224,12 @@ def test_criterion_05_gradient_correctness():
         np.concatenate([g.ravel() for g in agrads]), rng))
 
     sagent = SacAgent(cfg, 4, 3, seed=2)
-    eps = rng.standard_normal((6, 3))
-    _, pgrads, _ = sagent.policy_loss_and_grads(batch, eps=eps)
-    worst = max(worst, _fd_check(
-        sagent.policy, lambda: sagent.policy_loss_and_grads(batch, eps=eps)[0],
-        np.concatenate([g.ravel() for g in pgrads]), rng))
-    y = sagent.soft_q_target(batch, eps=eps)
+    with fixed_noise(sagent, rng.standard_normal((6, 3))):
+        _, pgrads, _ = sagent.policy_loss_and_grads(batch)
+        worst = max(worst, _fd_check(
+            sagent.policy, lambda: sagent.policy_loss_and_grads(batch)[0],
+            np.concatenate([g.ravel() for g in pgrads]), rng))
+        y = sagent.soft_q_target(batch)
     _, c1grads = critic_mse(sagent.critic1, batch, y)
     worst = max(worst, _fd_check(
         sagent.critic1, lambda: critic_mse(sagent.critic1, batch, y)[0],

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,6 +21,8 @@ from star_isac.experiments import (_LINEAR_CHECKS, _NUMERIC_CHECKS, AGENTS,
 from star_isac.ddpg import DdpgAgent
 from star_isac.rl_core import WARMUP_BATCHES, Adam, Mlp, RlError
 from star_isac.sac import ALPHA_LR, SacAgent
+
+import learners
 
 TINY = dict(L=3, N=4, n_x=2, T=4, episodes=2, seeds=(0,), batch_size=4,
             buffer_capacity=64, hidden_units=8)
@@ -149,18 +152,18 @@ class TestConfig:
                  "rewards": np.array([1.0, -2.0]),
                  "next_states": np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]]),
                  "dones": np.zeros(2)}
-        eps = np.array([[0.3, -0.2], [-1.0, 0.7]])
         s_next = batch["next_states"]
         if algorithm == "ddpg":
             x = np.concatenate([s_next, agent.target_actor(s_next)], axis=1)
             v = agent.target_critic(x)[:, 0]
             y = agent.target_value(batch)
         else:
-            a_next, log_prob, *_ = agent._sample(s_next, eps)
+            with learners.fixed_noise(agent, [[0.3, -0.2], [-1.0, 0.7]]):
+                a_next, log_prob, *_ = agent._sample(s_next)
+                y = agent.soft_q_target(batch)
             x = np.concatenate([s_next, a_next], axis=1)
             v = (np.minimum(agent.target_critic1(x), agent.target_critic2(x))
                  [:, 0] - agent.alpha * log_prob)
-            y = agent.soft_q_target(batch, eps=eps)
         assert np.allclose(y, batch["rewards"] + 0.5 * v, rtol=1e-12)
 
         # soft rate: each target net moves a quarter of the way
@@ -444,7 +447,51 @@ LOSS_CASES = [
 ]
 
 
+@pytest.mark.parametrize("cls, names", [
+    (DdpgAgent, ["critic loss", "actor objective"]),
+    (SacAgent, ["critic 1 loss", "critic 2 loss", "policy loss"]),
+])
+def test_maybe_update_returns_its_losses(cls, names):
+    # what run_seed checks after each step: nothing while the buffer
+    # warms up, then every loss of the update, named, in checking order
+    agent = learners.tiny_agent(cls)
+    rng = np.random.default_rng(0)
+    warmup = WARMUP_BATCHES * agent.cfg.batch_size
+    for k in range(1, warmup + 4):
+        agent.observe(rng.standard_normal(learners.STATE_DIM),
+                      rng.uniform(-1, 1, learners.ACTION_DIM),
+                      rng.normal(), rng.standard_normal(learners.STATE_DIM),
+                      False)
+        losses = agent.maybe_update()
+        if k < warmup:
+            assert losses == {}
+        else:
+            assert list(losses) == names
+            assert all(math.isfinite(v) for v in losses.values())
+
+
 class TestNonFinite:
+    @pytest.mark.parametrize("algorithm", list(AGENTS))
+    def test_step_record_is_checked_before_the_losses_it_poisons(
+            self, monkeypatch, algorithm):
+        # run step 42 comes after warm-up: its NaN reward enters the
+        # reward scale, so the update after it has NaN losses too, but
+        # the error names the reward, the first value that went bad
+        cls = AGENTS[algorithm][1]
+        update, returned = cls.maybe_update, []
+
+        def recorded(agent):
+            returned.append(update(agent))
+            return returned[-1]
+
+        monkeypatch.setattr(cls, "maybe_update", recorded)
+        poison_step(monkeypatch, "reward", np.nan, at=42)
+        with pytest.raises(RunError, match=r"^non-finite reward \(nan\) at "
+                                           r"episode 10, step 2$"):
+            run_seed(tiny_cfg(algorithm=algorithm, episodes=12), 0)
+        assert len(returned) == 43
+        assert not all(math.isfinite(v) for v in returned[-1].values())
+
     @pytest.mark.parametrize("algorithm, cls, method, at, position, name, "
                              "where", LOSS_CASES)
     def test_loss_stops_run_naming_loss_episode_and_step(

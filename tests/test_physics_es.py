@@ -12,10 +12,10 @@ from oracles import (kernel_inputs, naive_echo_snr, naive_echo_snr_montecarlo,
 
 def es_channels(inst):
     """Effective channels of every receiver under the instance's ES
-    surfaces (the oracle instances hold them as diagonal matrices)."""
+    surfaces."""
     (H, D_conj, R_conj), _ = kernel_inputs(inst)
-    return effective_channels(D_conj, R_conj, H, np.diag(inst["phi_a"]),
-                              np.diag(inst["phi_b"]))
+    return effective_channels(D_conj, R_conj, H, inst["phi_a"],
+                              inst["phi_b"])
 
 
 def target_channel(inst):
@@ -109,7 +109,7 @@ class TestSecrecyRate:
         inst = random_instance(rng)
         ch, K = kernel_inputs(inst)
         sensing = SensingParams(tau=1.0, P=2, sigma_s2=0.5, kappa_t=1.0)
-        period = (1.0, np.diag(inst["phi_a"]), np.diag(inst["phi_b"]))
+        period = (1.0, inst["phi_a"], inst["phi_b"])
         lu, eve, st, echo = evaluate(*ch, [period], K, 1.0, sensing)
         r = np.log2(1 + sinrs(es_channels(inst), K, 1.0))
         M = r.shape[1]

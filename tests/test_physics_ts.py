@@ -101,8 +101,8 @@ class TestTsRates:
         sigma2 = float(rng.uniform(0.5, 2.0))
         got_lu, got_eve, got_st = ts_rates(ch, cfg, K, sigma2)
         for m in range(M):
-            phi_b = np.diag(np.exp(1j * cfg.phi_b))
-            phi_a = np.diag(np.exp(1j * cfg.phi_a))
+            phi_b = np.exp(1j * cfg.phi_b)
+            phi_a = np.exp(1j * cfg.phi_a)
             lu_a = naive_sinr(np.conj(inst["h_bm"][m]), inst["K_s"],
                               inst["K_w"], m, sigma2)
             lu_b = naive_sinr(
@@ -201,7 +201,7 @@ class TestEchoSnrTs:
         cfg = random_ts_cfg(rng, 6)
         g1 = inst["g_bs"]
         g2 = naive_effective_channel(inst["g_bs"], inst["g_rs"],
-                                     np.diag(np.exp(1j * cfg.phi_a)),
+                                     np.exp(1j * cfg.phi_a),
                                      inst["H"]).conj()
         expect = sum(
             pi * echo_snr_lower_bound(g, K, optimal_filter(g, K),

@@ -9,7 +9,7 @@ from star_isac.rl_core import WARMUP_BATCHES, critic_mse
 from star_isac.sac import SQUASH_EPS, SacAgent
 
 import learners
-from learners import random_batch
+from learners import fixed_noise, random_batch
 from oracles import central_differences
 
 
@@ -22,7 +22,8 @@ class TestSquash:
         rng = np.random.default_rng(0)
         for _ in range(100):
             states = rng.standard_normal((4, 3))
-            a, lp, *_ = agent._sample(states, rng.standard_normal((4, 2)))
+            with fixed_noise(agent, rng.standard_normal((4, 2))):
+                a, lp, *_ = agent._sample(states)
             assert a.shape == (4, 2) and lp.shape == (4,)
             assert np.all(np.abs(a) < 1.0)
             assert np.all(np.isfinite(lp))
@@ -60,28 +61,28 @@ class TestSoftQTarget:
     def test_gamma_zero_is_reward(self):
         agent = tiny_agent(gamma=0.0)
         batch = random_batch(np.random.default_rng(3))
-        eps = np.zeros((4, 2))
-        assert np.allclose(agent.soft_q_target(batch, eps=eps),
-                           batch["rewards"])
+        with fixed_noise(agent, np.zeros((4, 2))):
+            assert np.allclose(agent.soft_q_target(batch), batch["rewards"])
 
     def test_hand_computed_target(self):
         agent = tiny_agent(seed=4, gamma=0.9)
         batch = random_batch(np.random.default_rng(4), n=2)
         eps = np.random.default_rng(5).standard_normal((2, 2))
-        a_next, lp, *_ = agent._sample(batch["next_states"], eps)
+        with fixed_noise(agent, eps):
+            a_next, lp, *_ = agent._sample(batch["next_states"])
+            got = agent.soft_q_target(batch)
         x = np.concatenate([batch["next_states"], a_next], axis=1)
         q1 = agent.target_critic1(x)[:, 0]
         q2 = agent.target_critic2(x)[:, 0]
         expect = batch["rewards"] + 0.9 * (np.minimum(q1, q2)
                                            - agent.alpha * lp)
-        got = agent.soft_q_target(batch, eps=eps)
         assert np.allclose(got, expect, rtol=1e-12)
 
     def test_terminal_masking(self):
         agent = tiny_agent(seed=6)
         batch = random_batch(np.random.default_rng(6), dones=[1, 0, 1, 0])
-        eps = np.zeros((4, 2))
-        y = agent.soft_q_target(batch, eps=eps)
+        with fixed_noise(agent, np.zeros((4, 2))):
+            y = agent.soft_q_target(batch)
         assert y[0] == batch["rewards"][0]
         assert y[2] == batch["rewards"][2]
 
@@ -91,14 +92,14 @@ class TestGradients:
         agent = tiny_agent(seed=7)
         rng = np.random.default_rng(7)
         batch = random_batch(rng)
-        eps = rng.standard_normal((4, 2))
-        loss, grads, _ = agent.policy_loss_and_grads(batch, eps=eps)
-        analytic = np.concatenate([g.ravel() for g in grads])
-        idx = np.random.default_rng(8).choice(agent.policy.flat.size, 50,
-                                              replace=False)
-        numeric = central_differences(
-            agent.policy,
-            lambda: agent.policy_loss_and_grads(batch, eps=eps)[0], idx, 1e-5)
+        with fixed_noise(agent, rng.standard_normal((4, 2))):
+            loss, grads, _ = agent.policy_loss_and_grads(batch)
+            analytic = np.concatenate([g.ravel() for g in grads])
+            idx = np.random.default_rng(8).choice(agent.policy.flat.size, 50,
+                                                  replace=False)
+            numeric = central_differences(
+                agent.policy, lambda: agent.policy_loss_and_grads(batch)[0],
+                idx, 1e-5)
         for i, num in zip(idx, numeric):
             assert analytic[i] == pytest.approx(num, abs=1e-7, rel=1e-4)
 
@@ -106,21 +107,21 @@ class TestGradients:
         agent = tiny_agent(seed=9, lr=1e-6)
         rng = np.random.default_rng(9)
         batch = random_batch(rng, n=16)
-        eps = rng.standard_normal((16, 2))
-        before, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
-        agent.policy_update(batch, eps=eps)
-        after, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
+        with fixed_noise(agent, rng.standard_normal((16, 2))):
+            before, _, _ = agent.policy_loss_and_grads(batch)
+            agent.policy_update(batch)
+            after, _, _ = agent.policy_loss_and_grads(batch)
         assert after < before
 
     def test_twin_critics_update_toward_common_target(self):
         agent = tiny_agent(seed=10, lr=1e-6)
         rng = np.random.default_rng(10)
         batch = random_batch(rng, n=16)
-        eps = rng.standard_normal((16, 2))
-        y = agent.soft_q_target(batch, eps=eps)
-        l1_before, _ = critic_mse(agent.critic1, batch, y)
-        l2_before, _ = critic_mse(agent.critic2, batch, y)
-        agent.critic_update(batch, eps=eps)
+        with fixed_noise(agent, rng.standard_normal((16, 2))):
+            y = agent.soft_q_target(batch)
+            l1_before, _ = critic_mse(agent.critic1, batch, y)
+            l2_before, _ = critic_mse(agent.critic2, batch, y)
+            agent.critic_update(batch)
         # targets move with the fresh action sample, so re-evaluate against
         # the frozen y
         l1_after, _ = critic_mse(agent.critic1, batch, y)
@@ -132,12 +133,12 @@ class TestGradients:
         agent = tiny_agent(seed=11)
         rng = np.random.default_rng(11)
         batch = random_batch(rng)
-        eps = rng.standard_normal((4, 2))
         s = batch["states"]
-        a, lp, *_ = agent._sample(s, eps)
+        with fixed_noise(agent, rng.standard_normal((4, 2))):
+            a, lp, *_ = agent._sample(s)
+            loss, _, _ = agent.policy_loss_and_grads(batch)
         x = np.concatenate([s, a], axis=1)
         q_min = np.minimum(agent.critic1(x)[:, 0], agent.critic2(x)[:, 0])
-        loss, _, _ = agent.policy_loss_and_grads(batch, eps=eps)
         assert loss == pytest.approx(
             float(np.mean(agent.alpha * lp - q_min)), rel=1e-12)
 
@@ -198,10 +199,10 @@ class TestTemperatureTracksNoise:
     def test_temperature_signal_ignores_saturation(self):
         batch = random_batch(np.random.default_rng(19))
         eps = np.random.default_rng(20).standard_normal((4, 2))
-        _, _, centred = self._wide_noise_agent(
-            [0.0, 0.0]).policy_loss_and_grads(batch, eps=eps)
-        _, _, saturated = self._wide_noise_agent(
-            [6.0, 0.0]).policy_loss_and_grads(batch, eps=eps)
+        with fixed_noise(self._wide_noise_agent([0.0, 0.0]), eps) as agent:
+            _, _, centred = agent.policy_loss_and_grads(batch)
+        with fixed_noise(self._wide_noise_agent([6.0, 0.0]), eps) as agent:
+            _, _, saturated = agent.policy_loss_and_grads(batch)
         assert np.allclose(saturated, centred, rtol=1e-12)
         # std 0.5 in both dimensions is more entropy than the target
         assert -np.mean(centred) > tiny_agent().target_entropy
@@ -259,7 +260,8 @@ def test_sample_action_acts_on_one_state_with_one_draw():
         a = agent.sample_action(state)
         assert a.shape == (2,)
         assert np.all(np.abs(a) < 1.0)
-        expect, *_ = agent._sample(state, twin.standard_normal((1, 2)))
+        with fixed_noise(agent, twin.standard_normal((1, 2))):
+            expect, *_ = agent._sample(state)
         assert np.array_equal(a, expect[0])
         assert agent.rng.bit_generator.state == twin.bit_generator.state
 

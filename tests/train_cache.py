@@ -17,7 +17,9 @@ The probe values are each episode's return, summed secrecy rate and
 summed echo SNR, and the sum and sum of squares of every network's
 parameters and every optimizer's moments. The reward reads the secrecy
 rate only in slots that meet the echo-SNR and rate floors, which few
-probe slots do, so the secrecy sums are what carry it into the key.
+probe slots do, so the secrecy sums are what carry it into the key. A
+probe stops with ``ArithmeticError`` at the first non-finite loss that
+``train`` yields, so no key is made of a diverged learner.
 
 A change to the agent or environment numerics of a config that shows in
 its probe moves that config's key, so the entry retrains instead of the
@@ -47,6 +49,7 @@ if __name__ == "__main__":
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import multiprocessing  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -108,7 +111,12 @@ def probe_values(cfg: ScenarioConfig) -> list:
     agent = build_agent(cfg, env, seed=0)
     sums = np.zeros((cfg.episodes, 3))
     train = AGENTS[cfg.algorithm][0].train
-    for i, out in enumerate(train(env, agent, cfg.episodes)):
+    for i, (out, losses) in enumerate(train(env, agent, cfg.episodes)):
+        # a probe of diverged learners would key on NaN sums
+        for name, value in losses.items():
+            if not math.isfinite(value):
+                raise ArithmeticError(f"non-finite {name} ({value}) in the "
+                                      f"probe, step {i}")
         sums[i // cfg.T] += (out.reward, out.sum_secrecy_rate, out.echo_snr)
     return list(sums.T.ravel()) + _state_values(agent)
 
