@@ -28,6 +28,16 @@ class EnvError(RuntimeError):
     pass
 
 
+class NonFiniteAction(EnvError):
+    """An action entry that is NaN or infinite, with the slot it was
+    given at."""
+
+    def __init__(self, step: int, entry: int, value: float):
+        super().__init__(f"non-finite action at step {step}: "
+                         f"entry {entry} is {value}")
+        self.step, self.entry, self.value = step, entry, value
+
+
 def state_features(ch: EpisodeChannels) -> np.ndarray:
     """(T, F) matrix, one row per slot: the flattened real/imag parts of
     the unit-power fading, H, then the users' direct and RIS-side links,
@@ -141,8 +151,7 @@ class SecureIsacEnv:
             finite = np.isfinite(raw)
             if not finite.all():
                 bad = int(np.argmin(finite))
-                raise EnvError(f"non-finite action at step {self.t}: "
-                               f"entry {bad} is {raw[bad]}")
+                raise NonFiniteAction(self.t, bad, float(raw[bad]))
         # np.clip on finite input, without its Python-level overhead
         raw = np.maximum(raw, -1.0)
         np.minimum(raw, 1.0, out=raw)

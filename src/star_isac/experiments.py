@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ddpg, sac, star_ris
-from .env import SecureIsacEnv
+from .env import NonFiniteAction, SecureIsacEnv
 from .rl_core import WARMUP_BATCHES
 
 FINAL_WINDOW = 50  # episodes averaged for summary statistics
@@ -344,7 +344,8 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     from reward on, the feasibility flags as 0.0 or 1.0. An episode's
     wall time runs from its own reset to its last step. Each step's
     record, then the losses of the update after it, must be finite: the
-    first value that is not stops the run with ``RunError``."""
+    first value that is not, or a non-finite action, stops the run with
+    ``RunError``."""
     env = build_baseline(cfg, seed=2 * seed + 1)
     agent = build_agent(cfg, env, seed=2 * seed)
     # looked up on the module at each call, so a rebound ``train`` runs
@@ -353,15 +354,21 @@ def run_seed(cfg: ScenarioConfig, seed: int):
     rows, episode_ms = [], []
     for episode in range(cfg.episodes):
         t0 = time.perf_counter()
-        # zip asks range first, so it pulls exactly T outcomes
-        for step, (out, losses) in zip(range(cfg.T), outcomes):
-            row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
-                   out.echo_snr, out.snr_feasible, out.rate_feasible)
-            for name, value in (*zip(value_columns, row), *losses.items()):
-                if not math.isfinite(value):
-                    raise RunError(f"non-finite {name} ({value}) at "
-                                   f"episode {episode}, step {step}")
-            rows.append(row)
+        try:
+            # zip asks range first, so it pulls exactly T outcomes
+            for step, (out, losses) in zip(range(cfg.T), outcomes):
+                row = (out.reward, out.sum_secrecy_rate, *out.lu_rates,
+                       out.echo_snr, out.snr_feasible, out.rate_feasible)
+                for name, value in (*zip(value_columns, row),
+                                    *losses.items()):
+                    if not math.isfinite(value):
+                        raise RunError(f"non-finite {name} ({value}) at "
+                                       f"episode {episode}, step {step}")
+                rows.append(row)
+        except NonFiniteAction as exc:
+            raise RunError(f"non-finite action ({exc.value}) at episode "
+                           f"{episode}, step {exc.step}: entry {exc.entry}"
+                           ) from exc
         episode_ms.append((time.perf_counter() - t0) * 1e3)
     return np.array(rows, float).reshape(cfg.episodes, cfg.T, -1), episode_ms
 

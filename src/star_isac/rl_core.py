@@ -3,43 +3,107 @@ buffer, a bias-corrected moment-adaptive updater, and soft target
 updates. Everything is float64 numpy so gradient oracles stay tight.
 
 Each net keeps its parameters in one contiguous vector. The updater and
-the soft update stream through such vectors CHUNK elements at a time,
-with one small scratch shared by all of them, so an update allocates no
-parameter-sized temporaries.
+the soft update pass each such vector once through a compiled loop from
+``_fused.c``, which importing this module builds with the system C
+compiler into ``__pycache__`` unless that build is already there. Where
+it cannot be built or loaded, they stream through the vectors CHUNK
+elements at a time in numpy, the same operations in the same order,
+with one small scratch shared by all of them; either way an update
+allocates no parameter-sized temporaries and gives the same bits.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
-# elements per slice of the flat vectors that Adam and soft_update walk
-# through; two scratch rows of 256 KiB stay in a core's L2 cache
+# elements per slice of the flat vectors that the numpy Adam and
+# soft_update walk through; two scratch rows of 256 KiB stay in a core's
+# L2 cache
 CHUNK = 32768
 # every use writes a scratch slice before reading it, so it carries
 # nothing between calls; it is not for concurrent use by threads
 _SCRATCH = np.empty((2, CHUNK))
 # both agents start updating once the replay buffer holds this many batches
 WARMUP_BATCHES = 10
+# no FMA contraction, which would round a product and a sum once; no
+# errno from sqrt, which lets GCC vectorise it; no -march: the loops are
+# memory-bound
+_FUSED_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
+                "-fno-math-errno")
 
 
 class RlError(ValueError):
     pass
 
 
+def _load_fused():
+    """The compiled loops of _fused.c, built on first use of this source
+    and these flags; None where no C compiler builds them or the built
+    library does not load. Processes that build at once each write their
+    own file and move it into place."""
+    src = Path(__file__).with_name("_fused.c")
+    try:
+        key = hashlib.sha256(src.read_bytes()
+                             + " ".join(_FUSED_FLAGS).encode()).hexdigest()
+        lib = src.parent / "__pycache__" / f"_fused-{key[:16]}.so"
+        if not lib.exists():
+            import subprocess  # only a build needs it; most imports load
+            lib.parent.mkdir(exist_ok=True)
+            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+            try:
+                cmd = ["cc", *_FUSED_FLAGS, "-o", str(tmp), str(src)]
+                if subprocess.run(cmd, capture_output=True).returncode == 0:
+                    os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        # a failed build leaves no library, and loading it raises OSError
+        fused = ctypes.CDLL(str(lib))
+    except OSError:
+        return None
+    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    fused.adam.argtypes = [ptr, ptr, ptr, ptr, size, real, real, real, real]
+    fused.soft_update.argtypes = [ptr, ptr, size, real]
+    fused.adam.restype = fused.soft_update.restype = None
+    return fused
+
+
+_FUSED = _load_fused()
+
+
+def _addresses(*arrays) -> list:
+    """Data addresses of equally long, C-contiguous float64 arrays whose
+    buffers do not overlap, which is what the compiled loops take."""
+    n = arrays[0].size
+    for a in arrays:
+        if a.dtype != np.float64 or not a.flags.c_contiguous or a.size != n:
+            raise RlError(f"compiled update needs C-contiguous float64 arrays "
+                          f"of {n} elements, got {a.dtype} {a.shape}")
+    addresses = [a.ctypes.data for a in arrays]
+    ordered = sorted(addresses)
+    if any(hi - lo < 8 * n for lo, hi in zip(ordered, ordered[1:])):
+        raise RlError("compiled update needs arrays that do not overlap")
+    return addresses
+
+
 def _act(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     return z  # linear
 
 
-def _act_backward(name: str, delta, z, a, owned: bool) -> np.ndarray:
-    """delta times the activation's derivative; in place when the caller
-    owns delta."""
+def _act_backward(name: str, delta, a, owned: bool) -> np.ndarray:
+    """delta times the derivative of the activation whose output is a; in
+    place when the caller owns delta. relu(z) > 0 exactly where z > 0."""
     if name == "relu":
-        return np.multiply(delta, z > 0.0, out=delta if owned else None)
+        return np.multiply(delta, a > 0.0, out=delta if owned else None)
     if name == "tanh":
         return delta * (1.0 - a * a)
     return delta  # linear
@@ -65,6 +129,47 @@ def _flat_chunks(*arrays):
         parts = [a[lo:lo + CHUNK] for a in flat]
         n = parts[0].size
         yield (*parts, _SCRATCH[0, :n], _SCRATCH[1, :n])
+
+
+def _adam_numpy(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
+    """m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+    p -= m/(sqrt(v) + eps_t)*lr_t, one chunk at a time."""
+    for p, g, m, v, s, u in _flat_chunks(p, g, m, v):
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=s)
+        s += eps_t
+        np.divide(m, s, out=u)
+        u *= lr_t
+        p -= u
+
+
+def _adam_fused(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
+    """_adam_numpy's operations in one compiled pass."""
+    _FUSED.adam(*_addresses(p, g, m, v), p.size, b1, b2, lr_t, eps_t)
+
+
+def _soft_update_numpy(target, online, eps) -> None:
+    """target := (1-eps)*target + eps*online, one chunk at a time."""
+    for tp, op, s, _ in _flat_chunks(target, online):
+        tp *= 1.0 - eps
+        np.multiply(op, eps, out=s)
+        tp += s
+
+
+def _soft_update_fused(target, online, eps) -> None:
+    """_soft_update_numpy's operations in one compiled pass."""
+    _FUSED.soft_update(*_addresses(target, online), target.size, eps)
+
+
+# the compiled passes wherever they built; the numpy chain otherwise
+_adam, _soft_update = ((_adam_numpy, _soft_update_numpy) if _FUSED is None
+                       else (_adam_fused, _soft_update_fused))
 
 
 class Mlp:
@@ -133,16 +238,15 @@ class Mlp:
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.sizes[0]:
             raise RlError(f"input width {x.shape[1]} != {self.sizes[0]}")
-        inputs, pre, post = [], [], []
+        inputs, post = [], []
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
             inputs.append(a)
             z = a @ w
             z += b
             a = _act(act, z)
-            pre.append(z)
             post.append(a)
-        return a, (inputs, pre, post)
+        return a, (inputs, post)
 
     def __call__(self, x):
         return self.forward(x)[0]
@@ -156,7 +260,7 @@ class Mlp:
         returns (None, dL/dx[:, start:]) and computes no parameter
         gradients.
         """
-        inputs, pre, post = cache
+        inputs, post = cache
         delta = dy
         params_too = self._input_start is None
         if params_too and self.grad is None:
@@ -164,7 +268,7 @@ class Mlp:
             self._grad_w, self._grad_b = _layer_views(self.sizes, self.grad)
         last = len(self.weights) - 1
         for i in reversed(range(len(self.weights))):
-            delta = _act_backward(self.activations[i], delta, pre[i], post[i],
+            delta = _act_backward(self.activations[i], delta, post[i],
                                   owned=i < last)
             if params_too:
                 np.matmul(inputs[i].T, delta, out=self._grad_w[i])
@@ -172,7 +276,11 @@ class Mlp:
                 if i == 0:
                     return [self.grad], None
             w = self.weights[i]
-            delta = delta @ (w[self._input_start:] if i == 0 else w).T
+            if i == 0:
+                w = w[self._input_start:]
+            # with one output column each entry is a single product, which
+            # a broadcast forms far faster than a rank-1 GEMM
+            delta = delta * w.T if w.shape[1] == 1 else delta @ w.T
         return None, delta
 
 
@@ -201,22 +309,8 @@ class Adam:
         # into the step size and epsilon once per step
         lr_t = self.lr * math.sqrt(c2) / c1
         eps_t = self.EPS * math.sqrt(c2)
-        for arrays in zip(params, grads, self.m, self.v):
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-            # p -= m/(sqrt(v) + eps_t)*lr_t, one chunk at a time
-            for p, g, m, v, s, u in _flat_chunks(*arrays):
-                m *= b1
-                np.multiply(g, 1 - b1, out=s)
-                m += s
-                v *= b2
-                np.multiply(g, 1 - b2, out=s)
-                s *= g
-                v += s
-                np.sqrt(v, out=s)
-                s += eps_t
-                np.divide(m, s, out=u)
-                u *= lr_t
-                p -= u
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            _adam(p, g, m, v, b1, b2, lr_t, eps_t)
 
 
 class RewardScale:
@@ -262,10 +356,7 @@ def critic_mse(critic: Mlp, batch, y: np.ndarray):
 
 def soft_update(target: Mlp, online: Mlp, eps: float) -> None:
     """target := eps*online + (1-eps)*target, elementwise."""
-    for tp, op, s, _ in _flat_chunks(target.flat, online.flat):
-        tp *= 1.0 - eps
-        np.multiply(op, eps, out=s)
-        tp += s
+    _soft_update(target.flat, online.flat, eps)
 
 
 class ReplayBuffer:

@@ -502,6 +502,23 @@ class TestNonFinite:
                                            rf"at {where}$"):
             run_seed(tiny_cfg(algorithm=algorithm, episodes=12), 0)
 
+    def test_action_stops_run_naming_episode_step_and_entry(
+            self, monkeypatch):
+        # T = 4: step 6 of the run is episode 1, step 2
+        step, calls = SecureIsacEnv.step, []
+
+        def poisoned(env, action):
+            if len(calls) == 6:
+                action = np.array(action)
+                action[1] = -np.inf
+            calls.append(action)
+            return step(env, action)
+
+        monkeypatch.setattr(SecureIsacEnv, "step", poisoned)
+        with pytest.raises(RunError, match=r"^non-finite action \(-inf\) at "
+                                           r"episode 1, step 2: entry 1$"):
+            run_seed(tiny_cfg(), 0)
+
     @pytest.mark.parametrize("field, value, name", [
         ("reward", np.nan, "reward (nan)"),
         ("sum_secrecy_rate", np.inf, "sum_secrecy_rate (inf)"),
@@ -670,8 +687,8 @@ class TestCli:
         rc = cli_main(["run", "--config", self.write_cfg(tmp_path),
                        "--out", str(tmp_path / "out")])
         assert rc == 3
-        assert ("runtime error: non-finite action at step 0: entry 3 is nan"
-                in capsys.readouterr().err)
+        assert ("runtime error: non-finite action (nan) at episode 0, "
+                "step 0: entry 3" in capsys.readouterr().err)
 
     def test_coincident_geometry_exit_two_names_keys(self, tmp_path, capsys):
         # the default surface sits at 150,150,3

@@ -1,11 +1,13 @@
 import gc
 import math
+import shutil
 import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from star_isac import rl_core
 from star_isac.rl_core import (CHUNK, Adam, Mlp, ReplayBuffer, RewardScale,
                                RlError, soft_update)
 
@@ -74,10 +76,12 @@ class TestMlp:
         y, cache = net.forward(rng.standard_normal((6, 5)))
         dy = rng.standard_normal((6, 2))
         _, dx = net.through(0).backward(cache, dy)
-        (z0, z1, _), (w0, w1, w2) = cache[1], net.weights
+        # the cache keeps each layer's output; a ReLU's is positive
+        # exactly where its input is
+        (h0, h1, _), (w0, w1, w2) = cache[1], net.weights
         delta = dy * (1.0 - y * y)
-        delta = (delta @ w2.T) * (z1 > 0.0)
-        delta = (delta @ w1.T) * (z0 > 0.0)
+        delta = (delta @ w2.T) * (h1 > 0.0)
+        delta = (delta @ w1.T) * (h0 > 0.0)
         assert np.array_equal(dx, delta @ w0.T)
 
     def test_through_start_gives_the_trailing_input_columns(self):
@@ -278,6 +282,100 @@ class TestSoftUpdate:
                 tp += 0.3 * op
             for got, want in zip(target.weights + target.biases, ref):
                 assert np.array_equal(got, want)
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, zeros' signs included, and NaN in the same
+    places; a NaN's payload depends on operand order and is not
+    compared."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64),
+                               b[~nan].view(np.uint64)))
+
+
+needs_kernel = pytest.mark.skipif(rl_core._FUSED is None,
+                                  reason="no compiled update on this host")
+
+
+class TestFusedKernel:
+    def test_built_wherever_a_compiler_is(self):
+        # a build that fails would quietly run the slower numpy chain
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert rl_core._FUSED is not None
+        assert rl_core._adam is rl_core._adam_fused
+        assert rl_core._soft_update is rl_core._soft_update_fused
+
+    @needs_kernel
+    def test_adam_matches_numpy_chain_bitwise(self, monkeypatch):
+        # from t = 1 past t = 10**6, on a vector crossing two chunk
+        # boundaries, with zero, subnormal, huge (g*g overflows v to
+        # inf), infinite and NaN gradient entries mixed in
+        rng = np.random.default_rng(23)
+        n = 2 * CHUNK + 123
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+        params = {path: [rng.standard_normal(n)]
+                  for path in ("fused", "numpy")}
+        params["numpy"][0][...] = params["fused"][0]
+        opts = {path: Adam(params[path], lr=1e-3) for path in params}
+        for t in range(1, 121):
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+            g[rng.integers(0, n, 40)] = rng.choice(special, 40)
+            if t % 30 == 0:
+                g[rng.integers(0, n, 3)] = [np.inf, -np.inf, np.nan]
+            if t == 60:
+                for opt in opts.values():
+                    opt.t = 10 ** 6
+            for path in params:
+                monkeypatch.setattr(rl_core, "_adam",
+                                    getattr(rl_core, f"_adam_{path}"))
+                # numpy warns of the overflows; the kernel does not
+                with np.errstate(over="ignore", invalid="ignore"):
+                    opts[path].step(params[path], [g])
+        fused, plain = opts["fused"], opts["numpy"]
+        for a, b in ((params["fused"], params["numpy"]), (fused.m, plain.m),
+                     (fused.v, plain.v)):
+            assert same_bits(a[0], b[0])
+        assert 0 < np.isnan(params["fused"][0]).sum() < n
+        assert np.isinf(fused.v[0]).any()
+
+    @needs_kernel
+    def test_soft_update_matches_numpy_chain_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        sizes = [CHUNK + 5, 2, 1]  # flat length 2*CHUNK + 15
+        online = Mlp(sizes, "linear", rng)
+        targets = {"fused": Mlp(sizes, "linear", rng)}
+        targets["numpy"] = targets["fused"].copy()
+        for eps in (0.005, 0.3, 1e-300, 1.0):
+            online.flat[...] = rng.standard_normal(online.flat.size)
+            online.flat[rng.integers(0, online.flat.size, 4)] = \
+                [0.0, -0.0, 5e-324, 1e300]
+            for path, target in targets.items():
+                monkeypatch.setattr(rl_core, "_soft_update",
+                                    getattr(rl_core, f"_soft_update_{path}"))
+                soft_update(target, online, eps)
+            assert same_bits(targets["fused"].flat, targets["numpy"].flat)
+
+    @needs_kernel
+    def test_rejects_arrays_it_cannot_point_at(self):
+        n = 10
+        base = np.zeros(2 * n)
+        bad_grads = {
+            "float32": np.zeros(n, np.float32),
+            "strided": np.zeros(2 * n)[::2],
+            "short": np.zeros(n - 1),
+            "overlapping": base[1:n + 1],
+        }
+        for name, g in bad_grads.items():
+            p = base[:n]
+            opt = Adam([p], lr=0.1)
+            with pytest.raises(RlError):
+                opt.step([p], [g])
+            assert opt.m[0].sum() == 0.0, name
+        net = Mlp([2, 3, 1], "linear", np.random.default_rng(25))
+        with pytest.raises(RlError, match="overlap"):
+            soft_update(net, net, 0.5)
 
 
 class TestReplayBuffer:
