@@ -5,11 +5,10 @@ updates. Everything is float64 numpy so gradient oracles stay tight.
 Each net keeps its parameters in one contiguous vector. The updater and
 the soft update pass each such vector once through a compiled loop from
 ``_fused.c``, which importing this module builds with the system C
-compiler into ``__pycache__`` unless that build is already there. Where
-it cannot be built or loaded, they stream through the vectors CHUNK
-elements at a time in numpy, the same operations in the same order,
-with one small scratch shared by all of them; either way an update
-allocates no parameter-sized temporaries and gives the same bits.
+compiler into ``__pycache__`` unless that build is already there; that
+pass allocates no parameter-sized temporaries. Where it cannot be built
+or loaded, numpy runs the same operations in the same order on whole
+vectors, temporaries and all, and gives the same bits.
 """
 from __future__ import annotations
 
@@ -21,13 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-# elements per slice of the flat vectors that the numpy Adam and
-# soft_update walk through; two scratch rows of 256 KiB stay in a core's
-# L2 cache
-CHUNK = 32768
-# every use writes a scratch slice before reading it, so it carries
-# nothing between calls; it is not for concurrent use by threads
-_SCRATCH = np.empty((2, CHUNK))
 # both agents start updating once the replay buffer holds this many batches
 WARMUP_BATCHES = 10
 # no FMA contraction, which would round a product and a sum once; no
@@ -121,32 +113,14 @@ def _layer_views(sizes, vec: np.ndarray):
     return weights, biases
 
 
-def _flat_chunks(*arrays):
-    """Aligned CHUNK-long slices of equally long contiguous arrays, each
-    with the matching slices of the two scratch rows."""
-    flat = [np.reshape(a, -1, copy=False) for a in arrays]
-    for lo in range(0, flat[0].size, CHUNK):
-        parts = [a[lo:lo + CHUNK] for a in flat]
-        n = parts[0].size
-        yield (*parts, _SCRATCH[0, :n], _SCRATCH[1, :n])
-
-
 def _adam_numpy(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
     """m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-    p -= m/(sqrt(v) + eps_t)*lr_t, one chunk at a time."""
-    for p, g, m, v, s, u in _flat_chunks(p, g, m, v):
-        m *= b1
-        np.multiply(g, 1 - b1, out=s)
-        m += s
-        v *= b2
-        np.multiply(g, 1 - b2, out=s)
-        s *= g
-        v += s
-        np.sqrt(v, out=s)
-        s += eps_t
-        np.divide(m, s, out=u)
-        u *= lr_t
-        p -= u
+    p -= m/(sqrt(v) + eps_t)*lr_t, in _fused.c's order."""
+    m *= b1
+    m += g * (1 - b1)
+    v *= b2
+    v += g * (1 - b2) * g
+    p -= m / (np.sqrt(v) + eps_t) * lr_t
 
 
 def _adam_fused(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
@@ -155,11 +129,9 @@ def _adam_fused(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
 
 
 def _soft_update_numpy(target, online, eps) -> None:
-    """target := (1-eps)*target + eps*online, one chunk at a time."""
-    for tp, op, s, _ in _flat_chunks(target, online):
-        tp *= 1.0 - eps
-        np.multiply(op, eps, out=s)
-        tp += s
+    """target := (1-eps)*target + eps*online, in _fused.c's order."""
+    target *= 1.0 - eps
+    target += online * eps
 
 
 def _soft_update_fused(target, online, eps) -> None:
@@ -167,7 +139,7 @@ def _soft_update_fused(target, online, eps) -> None:
     _FUSED.soft_update(*_addresses(target, online), target.size, eps)
 
 
-# the compiled passes wherever they built; the numpy chain otherwise
+# the compiled passes wherever they built; the numpy formulas otherwise
 _adam, _soft_update = ((_adam_numpy, _soft_update_numpy) if _FUSED is None
                        else (_adam_fused, _soft_update_fused))
 
@@ -202,7 +174,6 @@ class Mlp:
         # None on a trained net; on a view, the first input column whose
         # gradient its backward returns
         self._input_start = input_start
-        self._through = None
 
     @property
     def params(self):
@@ -222,16 +193,8 @@ class Mlp:
 
     def through(self, start: int) -> "Mlp":
         """A view that shares this net's parameters and whose backward
-        returns only the gradient with respect to input columns start:;
-        made once, then reused while start stays the same. The view is
-        its own through(start), without a reference to itself: such a
-        cycle would keep the parameters alive until a full garbage
-        collection."""
-        if self._input_start == start:
-            return self
-        if self._through is None or self._through._input_start != start:
-            self._through = self._over(self.flat, start)
-        return self._through
+        returns only the gradient with respect to input columns start:."""
+        return self._over(self.flat, start)
 
     def forward(self, x: np.ndarray):
         """Returns (y, cache) for a (B, d_in) batch."""

@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 
 from star_isac import rl_core
-from star_isac.rl_core import (CHUNK, Adam, Mlp, ReplayBuffer, RewardScale,
-                               RlError, soft_update)
+from star_isac.experiments import ScenarioConfig, run_seed
+from star_isac.rl_core import (WARMUP_BATCHES, Adam, Mlp, ReplayBuffer,
+                               RewardScale, RlError, soft_update)
 
 from oracles import central_differences
 
@@ -92,9 +93,7 @@ class TestMlp:
         dy = rng.standard_normal((16, 1))
         _, full = net.through(0).backward(cache, dy)
         for start in (1, 30, 39):
-            view = net.through(start)
-            assert view is net.through(start) and view.through(start) is view
-            grads, dx = view.backward(cache, dy)
+            grads, dx = net.through(start).backward(cache, dy)
             assert grads is None and net.grad is None
             assert dx.shape == (16, 40 - start)
             err = np.max(np.abs(dx - full[:, start:]))
@@ -146,7 +145,6 @@ class TestMlp:
         rng = np.random.default_rng(15)
         net = Mlp([3, 4, 2], "linear", rng)
         view = net.through(0)
-        assert view is net.through(0) and view.through(0) is view
         assert view.flat is net.flat
         assert all(np.shares_memory(a, b) for a, b in
                    zip(view.weights + view.biases, net.weights + net.biases))
@@ -198,13 +196,12 @@ class TestAdam:
             ref -= 0.05 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         assert np.allclose(p, ref, atol=1e-12)
 
-    def test_chunked_step_matches_per_array_formula_bitwise(self):
-        # a vector longer than one chunk and not a multiple of it, next to
-        # a small array, against the update written out on whole arrays in
-        # Kingma & Ba's efficient order: the bias corrections folded into
-        # the step size and epsilon
+    def test_step_over_arrays_matches_whole_array_formula_bitwise(self):
+        # a long vector of odd length next to a small array, against the
+        # update written out on whole arrays in Kingma & Ba's efficient
+        # order: the bias corrections folded into the step size and epsilon
         rng = np.random.default_rng(17)
-        sizes = (2 * CHUNK + 123, 7)
+        sizes = (65659, 7)
         params = [rng.standard_normal(n) for n in sizes]
         ref = [p.copy() for p in params]
         m = [np.zeros(n) for n in sizes]
@@ -268,9 +265,11 @@ class TestSoftUpdate:
         soft_update(target, online, 1.0)
         assert np.array_equal(target.flat, online.flat)
 
-    def test_chunked_blend_matches_per_array_formula_bitwise(self):
+    def test_blend_of_layer_arrays_matches_whole_array_formula_bitwise(self):
+        # the one flat vector against each weight and bias array blended
+        # on its own
         rng = np.random.default_rng(18)
-        sizes = [CHUNK + 5, 2, 1]  # flat length 2*CHUNK + 15
+        sizes = [32773, 2, 1]  # flat length 65,551
         online = Mlp(sizes, "linear", rng)
         target = Mlp(sizes, "linear", rng)
         ref = [p.copy() for p in target.weights + target.biases]
@@ -309,11 +308,12 @@ class TestFusedKernel:
 
     @needs_kernel
     def test_adam_matches_numpy_chain_bitwise(self, monkeypatch):
-        # from t = 1 past t = 10**6, on a vector crossing two chunk
-        # boundaries, with zero, subnormal, huge (g*g overflows v to
-        # inf), infinite and NaN gradient entries mixed in
+        # from t = 1 past t = 10**6, on a long vector of odd length (so
+        # the compiled loop's scalar tail runs after its vector body), with
+        # zero, subnormal, huge (g*g overflows v to inf), infinite and NaN
+        # gradient entries mixed in
         rng = np.random.default_rng(23)
-        n = 2 * CHUNK + 123
+        n = 65659
         special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
         params = {path: [rng.standard_normal(n)]
                   for path in ("fused", "numpy")}
@@ -343,7 +343,7 @@ class TestFusedKernel:
     @needs_kernel
     def test_soft_update_matches_numpy_chain_bitwise(self, monkeypatch):
         rng = np.random.default_rng(24)
-        sizes = [CHUNK + 5, 2, 1]  # flat length 2*CHUNK + 15
+        sizes = [32773, 2, 1]  # flat length 65,551
         online = Mlp(sizes, "linear", rng)
         targets = {"fused": Mlp(sizes, "linear", rng)}
         targets["numpy"] = targets["fused"].copy()
@@ -356,6 +356,30 @@ class TestFusedKernel:
                                     getattr(rl_core, f"_soft_update_{path}"))
                 soft_update(target, online, eps)
             assert same_bits(targets["fused"].flat, targets["numpy"].flat)
+
+    @needs_kernel
+    @pytest.mark.parametrize("algorithm", ["ddpg", "sac"])
+    def test_training_run_matches_numpy_pair(self, algorithm, monkeypatch):
+        # the whole path a host without a compiler trains on: a short run
+        # past warm-up, once on each pair, records the same bits
+        batch_size, T = 8, 10
+        cfg = ScenarioConfig(algorithm=algorithm, T=T, batch_size=batch_size,
+                             hidden_units=32,
+                             episodes=WARMUP_BATCHES * batch_size // T + 3)
+        records, steps = {}, {}
+        for path in ("fused", "numpy"):
+            adam = getattr(rl_core, f"_adam_{path}")
+
+            def counted(*args, adam=adam, path=path):
+                steps[path] = steps.get(path, 0) + 1
+                adam(*args)
+
+            monkeypatch.setattr(rl_core, "_adam", counted)
+            monkeypatch.setattr(rl_core, "_soft_update",
+                                getattr(rl_core, f"_soft_update_{path}"))
+            records[path], _ = run_seed(cfg, seed=0)
+        assert steps["fused"] == steps["numpy"] > 0
+        assert np.array_equal(records["fused"], records["numpy"])
 
     @needs_kernel
     def test_rejects_arrays_it_cannot_point_at(self):
